@@ -29,19 +29,40 @@ fn bench_cache(c: &mut Criterion) {
                 acc
             })
         });
-        group.bench_with_input(BenchmarkId::new("thrash", label), &size, |b, _| {
-            // Cyclic over capacity + 1 line: the worst case (every access
-            // evicts).
-            let wrap = size + 128;
-            b.iter(|| {
-                let mut cache = SectoredCache::new(size, 128, 32, ways);
+        if label == "l2_25m_fa" {
+            // The footprint the L2 size search chases: a ring of twice the
+            // capacity, filled by one lap outside the timed region, so each
+            // timed access walks lines the cache has already evicted.
+            let ring = 2 * size;
+            let mut cache = SectoredCache::new(size, 128, 32, ways);
+            let mut next = 0u64;
+            let mut walk = move |n: u64| {
                 let mut acc = 0u64;
-                for i in 0..accesses {
-                    acc += cache.access(black_box((i * 32) % wrap)).is_hit() as u64;
+                for _ in 0..n {
+                    acc += cache.access(black_box(next)).is_hit() as u64;
+                    next = (next + 32) % ring;
                 }
                 acc
-            })
-        });
+            };
+            walk(ring / 32);
+            group.bench_with_input(BenchmarkId::new("thrash", label), &size, |b, _| {
+                b.iter(|| walk(accesses))
+            });
+        } else {
+            group.bench_with_input(BenchmarkId::new("thrash", label), &size, |b, _| {
+                // Cyclic over capacity + 1 line: the worst case (every
+                // access evicts).
+                let wrap = size + 128;
+                b.iter(|| {
+                    let mut cache = SectoredCache::new(size, 128, 32, ways);
+                    let mut acc = 0u64;
+                    for i in 0..accesses {
+                        acc += cache.access(black_box((i * 32) % wrap)).is_hit() as u64;
+                    }
+                    acc
+                })
+            });
+        }
     }
     group.finish();
 }

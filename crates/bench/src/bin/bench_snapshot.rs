@@ -57,17 +57,43 @@ fn cache_workloads(out: &mut Vec<(String, f64)>) {
             acc
         });
         out.push((format!("cache_access/sequential/{label}"), seq));
-        let wrap = size + 128;
-        let thrash = best_ns_per_elem(5, accesses, || {
-            let mut cache = SectoredCache::new(size, 128, 32, ways);
-            let mut acc = 0u64;
-            for i in 0..accesses {
-                acc += cache.access(black_box((i * 32) % wrap)).is_hit() as u64;
-            }
-            acc
-        });
+        let thrash = if label == "l2_25m_fa" {
+            steady_thrash_ns(size)
+        } else {
+            let wrap = size + 128;
+            best_ns_per_elem(5, accesses, || {
+                let mut cache = SectoredCache::new(size, 128, 32, ways);
+                let mut acc = 0u64;
+                for i in 0..accesses {
+                    acc += cache.access(black_box((i * 32) % wrap)).is_hit() as u64;
+                }
+                acc
+            })
+        };
         out.push((format!("cache_access/thrash/{label}"), thrash));
     }
+}
+
+/// Steady-state thrash of a large fully-associative cache at the
+/// footprint the L2 size search chases: a ring of twice the capacity at
+/// 32 B stride, filled by one untimed lap, so every timed access walks
+/// lines the cache has evicted (one line miss, then three sector misses
+/// per 128 B line).
+fn steady_thrash_ns(size: u64) -> f64 {
+    let mut cache = SectoredCache::new(size, 128, 32, FULLY_ASSOCIATIVE);
+    let ring = 2 * size;
+    let mut next = 0u64;
+    let mut walk = |cache: &mut SectoredCache, n: u64| {
+        let mut acc = 0u64;
+        for _ in 0..n {
+            acc += cache.access(black_box(next)).is_hit() as u64;
+            next = (next + 32) % ring;
+        }
+        acc
+    };
+    walk(&mut cache, ring / 32);
+    let accesses = 1u64 << 20;
+    best_ns_per_elem(5, accesses, || walk(&mut cache, accesses))
 }
 
 fn pchase_workloads(out: &mut Vec<(String, f64)>) {

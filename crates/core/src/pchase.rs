@@ -14,30 +14,8 @@
 //! are comparable across vendors.
 
 use mt4g_sim::device::{LoadFlags, MemorySpace, Vendor};
-use mt4g_sim::gpu::{AllocError, BufferId, Gpu, PchaseBatch};
+use mt4g_sim::gpu::{AllocError, Gpu, PchaseBatch};
 use mt4g_sim::isa::{Instr, KernelBuilder};
-
-/// Strides at or above this threshold allocate the chase ring *sparsely*
-/// ([`Gpu::alloc_strided`]): a page-stride TLB chase spans gigabytes of
-/// address space but only ever reads one word per element, and the sparse
-/// representation is read-for-read identical to a dense zero-initialised
-/// buffer. Every cache benchmark strides below this (≤ 1 KiB lines), so
-/// their allocations are bit-for-bit unchanged.
-const SPARSE_CHASE_MIN_STRIDE: u64 = 64 * 1024;
-
-/// Allocates a chase ring, sparsely for page-scale strides.
-fn alloc_chase(
-    gpu: &mut Gpu,
-    space: MemorySpace,
-    array_bytes: u64,
-    stride_bytes: u64,
-) -> Result<BufferId, AllocError> {
-    if stride_bytes >= SPARSE_CHASE_MIN_STRIDE {
-        gpu.alloc_strided(space, array_bytes, stride_bytes)
-    } else {
-        gpu.alloc(space, array_bytes)
-    }
-}
 
 /// Configuration of one p-chase run.
 #[derive(Debug, Clone, Copy)]
@@ -136,8 +114,10 @@ pub fn calibrate_overhead(gpu: &mut Gpu) -> f64 {
 /// Runs one p-chase benchmark and returns overhead-corrected latencies.
 ///
 /// Allocates the array in the target space (so e.g. constant arrays are
-/// subject to the 64 KiB limit), initialises the chase ring, launches the
-/// vendor-specific kernel and subtracts the calibrated overhead.
+/// subject to the 64 KiB limit) with one stored word per element
+/// ([`Gpu::alloc_strided`] — the chase reads nothing else), initialises
+/// the chase ring, launches the vendor-specific kernel and subtracts the
+/// calibrated overhead.
 pub fn run_pchase(gpu: &mut Gpu, cfg: &PchaseConfig) -> Result<PchaseRun, AllocError> {
     let overhead = calibrate_overhead(gpu);
     run_pchase_with_overhead(gpu, cfg, overhead)
@@ -151,7 +131,7 @@ pub fn run_pchase_with_overhead(
     overhead: f64,
 ) -> Result<PchaseRun, AllocError> {
     assert!(cfg.stride_bytes >= 4 && cfg.stride_bytes.is_multiple_of(4));
-    let buf = alloc_chase(gpu, cfg.space, cfg.array_bytes, cfg.stride_bytes)?;
+    let buf = gpu.alloc_strided(cfg.space, cfg.array_bytes, cfg.stride_bytes)?;
     let elements = gpu.init_pchase(buf, cfg.array_bytes, cfg.stride_bytes);
     // The chase is a ring, so a warmed run can record a full N latencies
     // even for arrays shorter than N elements — keeping every row of a
@@ -212,7 +192,7 @@ pub fn prepare_chase(
     array_bytes: u64,
     stride_bytes: u64,
 ) -> Result<ChaseBuffer, AllocError> {
-    let buf = alloc_chase(gpu, space, array_bytes, stride_bytes)?;
+    let buf = gpu.alloc_strided(space, array_bytes, stride_bytes)?;
     let elements = gpu.init_pchase(buf, array_bytes, stride_bytes);
     Ok(ChaseBuffer {
         base: gpu.buffer_base(buf),

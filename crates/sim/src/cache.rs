@@ -47,15 +47,19 @@
 //!   (promoted/selected with word-wide SWAR ops, no timestamp scan) for
 //!   up to 8 ways and falls back to a timestamp scan above that;
 //!   tree-PLRU keeps one bit per internal tree node.
-//! * **Fully associative**: an open-addressed index ([`LineIndex`]:
-//!   linear probing, backward-shift deletion, deterministic splitmix64
-//!   hashing) mapping line addresses to a slot arena. The LRU engine
-//!   ([`FlatLru`]) threads the arena with an intrusive recency list —
-//!   O(1) lookup, O(1) true-LRU eviction; non-LRU policies use the same
-//!   index + arena with per-policy recency state ([`FaPolicyStore`]).
-//!   The arena grows lazily up to the line capacity, so huge caches
-//!   (e.g. a 256 MiB L3) cost memory proportional to their *resident*
-//!   lines, and eviction recycles slots in place.
+//! * **Fully associative**: a two-level index ([`LineIndex`]) mapping
+//!   line addresses to a slot arena. Its first level is a small
+//!   open-addressed directory keyed by aligned 64-line pages, with the
+//!   keys inline; its second is a dense block of slot ids per page, so a
+//!   sequential chase streams through host memory rather than hashing
+//!   every line into a multi-MB table. Pages are recycled when their last
+//!   line leaves. The LRU engine ([`FlatLru`]) threads the arena with an
+//!   intrusive recency list — O(1) lookup, O(1) true-LRU eviction;
+//!   non-LRU policies use the same index + arena with per-policy recency
+//!   state ([`FaPolicyStore`]). Index and arena grow lazily (nothing is
+//!   allocated before the first access), so huge caches (e.g. a 256 MiB
+//!   L3) cost memory proportional to their *resident* lines, and eviction
+//!   recycles slots in place.
 //!
 //! The retained [`mod@reference`] implementations plus the differential
 //! property tests in `crates/sim/tests/prop.rs` pin every engine to the
@@ -95,7 +99,7 @@ impl Access {
 /// very top of the address space), so resident tags never collide with it.
 const EMPTY_TAG: u64 = u64::MAX;
 
-/// Sentinel for "no slot" in the open-addressed index and recency links.
+/// Sentinel for "no slot" in the index's slot blocks and recency links.
 const NIL: u32 = u32::MAX;
 
 /// A fully-associative slot: the packed tag triple plus intrusive list
@@ -110,118 +114,216 @@ struct FaSlot {
     next: u32,
 }
 
-/// Deterministic 64-bit finalizer (splitmix64) — the probe start of a line
-/// address. Seedless on purpose: the simulation must be bit-reproducible.
-#[inline]
-fn hash_line(line_addr: u64) -> u64 {
-    let mut z = line_addr.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// Lines per directory page of [`LineIndex`] (a power of two): 8 KiB of
+/// address space at a 128 B line, so a sequential chase stays on one
+/// directory entry for 64 consecutive lines.
+const PAGE_LINES: usize = 64;
+/// `log2(PAGE_LINES)`: a line's page number is `line_addr >> PAGE_SHIFT`.
+const PAGE_SHIFT: u32 = PAGE_LINES.trailing_zeros();
+
+/// Directory key of an empty bucket. Page numbers are line addresses
+/// shifted right by [`PAGE_SHIFT`], so no reachable page has this key.
+const EMPTY_PAGE: u64 = u64::MAX;
+
+/// Smallest directory [`LineIndex`] allocates, on its first insert.
+const MIN_DIR: usize = 16;
+
+/// One [`LineIndex`] directory bucket. The key sits inline, so a probe
+/// never leaves the directory.
+#[derive(Debug, Clone, Copy)]
+struct PageEntry {
+    /// Page number (`line_addr >> PAGE_SHIFT`), or [`EMPTY_PAGE`].
+    page: u64,
+    /// Block number of the page's slot ids in [`LineIndex::blocks`].
+    block: u32,
+    /// Indexed lines of the page; the page is recycled when this drops
+    /// to zero.
+    live: u32,
 }
 
-/// Open-addressed line-address → arena-slot index (linear probing,
-/// backward-shift deletion). Shared by every fully-associative engine;
-/// the slot arena itself lives with the caller so the index stays policy
-/// agnostic.
-#[derive(Debug)]
+const EMPTY_ENTRY: PageEntry = PageEntry {
+    page: EMPTY_PAGE,
+    block: 0,
+    live: 0,
+};
+
+/// Two-level line-address → arena-slot index shared by every
+/// fully-associative engine; the slot arena itself lives with the caller
+/// so the index stays policy agnostic.
+///
+/// The first level is a small open-addressed directory keyed by an
+/// aligned page of [`PAGE_LINES`] lines (linear probing, deterministic
+/// Fibonacci hashing, backward-shift deletion); the second is a dense
+/// block of slot ids per page. Consecutive lines of a page share one
+/// directory entry and sit next to each other in their block, so a
+/// sequential chase streams through host memory instead of scattering
+/// one hash probe per line across a multi-MB table. A page's block is
+/// recycled as soon as its last line leaves.
+///
+/// Construction allocates nothing (caches that are never touched cost
+/// nothing), and [`Self::clear`] runs in time proportional to the
+/// directory, not to the lines that were resident.
+#[derive(Debug, Default)]
 struct LineIndex {
-    /// Open-addressed table of arena indices (`NIL` = empty bucket).
-    table: Vec<u32>,
-    /// `table.len() - 1`; the table length is always a power of two.
-    mask: u64,
+    /// Open-addressed page directory: empty until the first insert, then
+    /// a power-of-two length, at most half full.
+    dir: Vec<PageEntry>,
+    /// `64 - log2(dir.len())`: the shift that turns the Fibonacci
+    /// product into a bucket.
+    shift: u32,
+    /// Live pages in `dir`.
+    pages: usize,
+    /// Slot-id blocks of [`PAGE_LINES`] entries each (`NIL` = line not
+    /// indexed), concatenated.
+    blocks: Vec<u32>,
+    /// Blocks of recycled pages; all their entries are `NIL`.
+    free: Vec<u32>,
 }
 
 impl LineIndex {
-    fn new() -> Self {
-        LineIndex {
-            table: vec![NIL; 64],
-            mask: 63,
-        }
+    /// Home bucket of `page`.
+    #[inline]
+    fn home(&self, page: u64) -> usize {
+        (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
-    /// Probe-finds the arena index of `line_addr`, if resident.
+    /// Bucket holding `page`, if the page has indexed lines.
     #[inline]
-    fn find(&self, slots: &[FaSlot], line_addr: u64) -> Option<u32> {
-        let mut pos = hash_line(line_addr) & self.mask;
+    fn find_page(&self, page: u64) -> Option<usize> {
+        // Also covers the directory not being allocated yet.
+        if self.pages == 0 {
+            return None;
+        }
+        let mask = self.dir.len() - 1;
+        let mut pos = self.home(page);
         loop {
-            let slot = self.table[pos as usize];
-            if slot == NIL {
+            let key = self.dir[pos].page;
+            if key == page {
+                return Some(pos);
+            }
+            if key == EMPTY_PAGE {
                 return None;
             }
-            if slots[slot as usize].tag == line_addr {
-                return Some(slot);
-            }
-            pos = (pos + 1) & self.mask;
-        }
-    }
-
-    /// Inserts `line_addr -> slot` (caller guarantees the key is absent
-    /// and the table has a free bucket).
-    #[inline]
-    fn insert(&mut self, line_addr: u64, slot: u32) {
-        let mut pos = hash_line(line_addr) & self.mask;
-        while self.table[pos as usize] != NIL {
-            pos = (pos + 1) & self.mask;
-        }
-        self.table[pos as usize] = slot;
-    }
-
-    /// Removes `line_addr` from the index with backward-shift deletion, so
-    /// probe chains stay gap-free without tombstones.
-    fn remove(&mut self, slots: &[FaSlot], line_addr: u64) {
-        let mask = self.mask;
-        let mut pos = hash_line(line_addr) & mask;
-        while {
-            let slot = self.table[pos as usize];
-            debug_assert_ne!(slot, NIL, "removing a key that is not present");
-            slots[slot as usize].tag != line_addr
-        } {
             pos = (pos + 1) & mask;
         }
-        // `pos` holds the doomed entry; shift later chain members back.
+    }
+
+    /// Position of `line_addr`'s entry within its page's block.
+    #[inline]
+    fn block_pos(block: u32, line_addr: u64) -> usize {
+        block as usize * PAGE_LINES + (line_addr as usize & (PAGE_LINES - 1))
+    }
+
+    /// The arena slot of `line_addr`, if indexed.
+    #[inline]
+    fn find(&self, line_addr: u64) -> Option<u32> {
+        let pos = self.find_page(line_addr >> PAGE_SHIFT)?;
+        let slot = self.blocks[Self::block_pos(self.dir[pos].block, line_addr)];
+        (slot != NIL).then_some(slot)
+    }
+
+    /// Indexes `line_addr -> slot` (caller guarantees the line is absent).
+    #[inline]
+    fn insert(&mut self, line_addr: u64, slot: u32) {
+        let page = line_addr >> PAGE_SHIFT;
+        let pos = match self.find_page(page) {
+            Some(pos) => pos,
+            None => self.insert_page(page),
+        };
+        let entry = &mut self.dir[pos];
+        entry.live += 1;
+        let at = Self::block_pos(entry.block, line_addr);
+        debug_assert_eq!(self.blocks[at], NIL, "inserting a line that is present");
+        self.blocks[at] = slot;
+    }
+
+    /// Adds an absent `page` with an all-`NIL` block (recycled or fresh)
+    /// and returns its bucket. Doubles the directory first when it would
+    /// pass half full; the keys sit inline, so a rehash never reads the
+    /// blocks or the slot arena.
+    fn insert_page(&mut self, page: u64) -> usize {
+        if (self.pages + 1) * 2 > self.dir.len() {
+            let len = (self.dir.len() * 2).max(MIN_DIR);
+            let old = std::mem::replace(&mut self.dir, vec![EMPTY_ENTRY; len]);
+            self.shift = 64 - len.trailing_zeros();
+            for entry in old.into_iter().filter(|e| e.page != EMPTY_PAGE) {
+                let pos = self.vacant_bucket(entry.page);
+                self.dir[pos] = entry;
+            }
+        }
+        let block = self.free.pop().unwrap_or_else(|| {
+            let block = (self.blocks.len() / PAGE_LINES) as u32;
+            self.blocks.resize(self.blocks.len() + PAGE_LINES, NIL);
+            block
+        });
+        let pos = self.vacant_bucket(page);
+        self.dir[pos] = PageEntry {
+            page,
+            block,
+            live: 0,
+        };
+        self.pages += 1;
+        pos
+    }
+
+    /// First empty bucket on `page`'s probe path.
+    fn vacant_bucket(&self, page: u64) -> usize {
+        let mask = self.dir.len() - 1;
+        let mut pos = self.home(page);
+        while self.dir[pos].page != EMPTY_PAGE {
+            pos = (pos + 1) & mask;
+        }
+        pos
+    }
+
+    /// Un-indexes `line_addr` (caller guarantees it is present). When the
+    /// page's last line leaves, its block is recycled and its bucket is
+    /// deleted with backward shift, so probe chains stay gap-free without
+    /// tombstones.
+    #[inline]
+    fn remove(&mut self, line_addr: u64) {
+        let pos = self
+            .find_page(line_addr >> PAGE_SHIFT)
+            .expect("removing a line that is not indexed");
+        let entry = &mut self.dir[pos];
+        self.blocks[Self::block_pos(entry.block, line_addr)] = NIL;
+        entry.live -= 1;
+        if entry.live > 0 {
+            return;
+        }
+        self.free.push(entry.block);
+        self.pages -= 1;
+        let mask = self.dir.len() - 1;
         let mut hole = pos;
         let mut probe = pos;
         loop {
             probe = (probe + 1) & mask;
-            let slot = self.table[probe as usize];
-            if slot == NIL {
+            let entry = self.dir[probe];
+            if entry.page == EMPTY_PAGE {
                 break;
             }
-            let home = hash_line(slots[slot as usize].tag) & mask;
             // The entry can fill the hole iff the hole lies on its probe
             // path, i.e. dist(home, hole) <= dist(home, probe).
-            let dist_hole = hole.wrapping_sub(home) & mask;
-            let dist_probe = probe.wrapping_sub(home) & mask;
-            if dist_hole <= dist_probe {
-                self.table[hole as usize] = slot;
+            let home = self.home(entry.page);
+            if hole.wrapping_sub(home) & mask <= probe.wrapping_sub(home) & mask {
+                self.dir[hole] = entry;
                 hole = probe;
             }
         }
-        self.table[hole as usize] = NIL;
+        self.dir[hole] = EMPTY_ENTRY;
     }
 
-    /// Doubles the table when it is half full, rehashing every resident
-    /// slot. Amortised and rare; the steady state allocates nothing per
-    /// access.
-    fn maybe_grow(&mut self, slots: &[FaSlot]) {
-        if (slots.len() as u64 + 1) * 2 <= self.table.len() as u64 {
-            return;
-        }
-        let new_len = (self.table.len() * 2).max(64);
-        self.table = vec![NIL; new_len];
-        self.mask = new_len as u64 - 1;
-        for (i, s) in slots.iter().enumerate() {
-            let mut pos = hash_line(s.tag) & self.mask;
-            while self.table[pos as usize] != NIL {
-                pos = (pos + 1) & self.mask;
-            }
-            self.table[pos as usize] = i as u32;
-        }
-    }
-
+    /// Un-indexes everything. Touches the directory only: the blocks are
+    /// truncated wholesale (keeping their capacity) and refilled with
+    /// `NIL` as pages come back.
     fn clear(&mut self) {
-        self.table.iter_mut().for_each(|b| *b = NIL);
+        // With no live pages every bucket is already empty.
+        if self.pages > 0 {
+            self.dir.fill(EMPTY_ENTRY);
+            self.pages = 0;
+        }
+        self.blocks.clear();
+        self.free.clear();
     }
 }
 
@@ -239,7 +341,7 @@ struct FlatLru {
     tail: u32,
     /// MRU line filter, mirroring [`SetAssoc`]'s: the line address and
     /// arena slot of the last access. A repeat access to the MRU line is
-    /// already at the recency tail, so the hash probe and list surgery
+    /// already at the recency tail, so the index lookup and list surgery
     /// can be skipped entirely — the common case for sector-sequential
     /// chase patterns, which touch every line `sectors_per_line` times in
     /// a row. The slot's own tag is re-verified, so a recycled slot falls
@@ -252,7 +354,7 @@ impl FlatLru {
     fn new(capacity_lines: u64) -> Self {
         FlatLru {
             capacity_lines,
-            index: LineIndex::new(),
+            index: LineIndex::default(),
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -282,7 +384,7 @@ impl FlatLru {
         self.access_cold(line_addr, sector_bit, tick)
     }
 
-    /// The full probe path: hash lookup, recency promotion, allocation.
+    /// The full path: index lookup, recency promotion, allocation.
     fn access_cold(&mut self, line_addr: u64, sector_bit: u64, tick: u64) -> Access {
         let result = if let Some(slot) = self.find(line_addr) {
             self.touch(slot, tick);
@@ -304,7 +406,7 @@ impl FlatLru {
 
     #[inline]
     fn find(&self, line_addr: u64) -> Option<u32> {
-        self.index.find(&self.slots, line_addr)
+        self.index.find(line_addr)
     }
 
     /// Unlinks `slot` from the recency list.
@@ -353,7 +455,6 @@ impl FlatLru {
     /// otherwise grows the arena. Returns the arena index.
     fn allocate(&mut self, line_addr: u64, sector_bit: u64, tick: u64) -> u32 {
         let slot = if (self.slots.len() as u64) < self.capacity_lines {
-            self.index.maybe_grow(&self.slots);
             let idx = self.slots.len() as u32;
             self.slots.push(FaSlot {
                 tag: line_addr,
@@ -367,7 +468,7 @@ impl FlatLru {
             let victim = self.head;
             debug_assert_ne!(victim, NIL, "full cache implies an LRU victim");
             let victim_tag = self.slots[victim as usize].tag;
-            self.index.remove(&self.slots, victim_tag);
+            self.index.remove(victim_tag);
             self.unlink(victim);
             let s = &mut self.slots[victim as usize];
             s.tag = line_addr;
@@ -1062,7 +1163,7 @@ struct FaPolicyStore {
     slots: Vec<FaSlot>,
     state: FaState,
     /// MRU line filter. Unlike [`FlatLru`]'s, this one only short-circuits
-    /// the hash probe — the policy `touch` still runs, because a repeat
+    /// the index lookup — the policy `touch` still runs, because a repeat
     /// touch is *not* a recency no-op for every policy (SLRU promotes a
     /// probation line to protected on its second touch). The slot tag is
     /// re-verified, so in-place eviction recycling falls through safely.
@@ -1093,7 +1194,7 @@ impl FaPolicyStore {
         };
         FaPolicyStore {
             capacity_lines,
-            index: LineIndex::new(),
+            index: LineIndex::default(),
             slots: Vec::new(),
             state,
             mru_line: EMPTY_TAG,
@@ -1174,7 +1275,7 @@ impl FaPolicyStore {
     }
 
     fn access_cold(&mut self, line_addr: u64, sector_bit: u64) -> Access {
-        if let Some(slot) = self.index.find(&self.slots, line_addr) {
+        if let Some(slot) = self.index.find(line_addr) {
             self.touch(slot);
             self.mru_line = line_addr;
             self.mru_slot = slot;
@@ -1186,7 +1287,6 @@ impl FaPolicyStore {
                 Access::SectorMiss
             }
         } else if (self.slots.len() as u64) < self.capacity_lines {
-            self.index.maybe_grow(&self.slots);
             let slot = self.slots.len() as u32;
             self.slots.push(FaSlot {
                 tag: line_addr,
@@ -1232,7 +1332,7 @@ impl FaPolicyStore {
                 }
             };
             let victim_tag = self.slots[victim as usize].tag;
-            self.index.remove(&self.slots, victim_tag);
+            self.index.remove(victim_tag);
             let s = &mut self.slots[victim as usize];
             s.tag = line_addr;
             s.valid_sectors = sector_bit;
@@ -1246,7 +1346,7 @@ impl FaPolicyStore {
 
     fn probe(&self, line_addr: u64, sector_bit: u64) -> bool {
         self.index
-            .find(&self.slots, line_addr)
+            .find(line_addr)
             .map(|slot| self.slots[slot as usize].valid_sectors & sector_bit != 0)
             .unwrap_or(false)
     }

@@ -23,18 +23,40 @@ pub struct BufferId(usize);
 #[derive(Debug)]
 struct Buffer {
     base: u64,
-    /// Bytes of device address space each stored word covers: 4 for dense
-    /// buffers, the element stride for sparse chase buffers
-    /// ([`Gpu::alloc_strided`]). Reads between the stored words of a
-    /// sparse buffer return 0 — bit-identical to a dense zero-initialised
-    /// buffer whose chase pointers are the only non-zero words.
+    /// Readable bytes: the requested size rounded up to a whole word, for
+    /// both representations. A strided buffer's last stored word may
+    /// cover address space past this end (a partial last element); that
+    /// space belongs to the next allocation, as it would after a dense
+    /// buffer.
+    len: u64,
+    /// Bytes of device address space each stored word covers: 4 for
+    /// [`Gpu::alloc`] buffers, the element stride for chase rings
+    /// ([`Gpu::alloc_strided`]), which store only the first word of each
+    /// element. A read outside a stored word returns 0, so a strided
+    /// buffer reads exactly like a dense zero-initialised one whose chase
+    /// pointers are the only non-zero words.
     bytes_per_word: u64,
     data: Vec<u32>,
 }
 
 impl Buffer {
-    fn len_bytes(&self) -> u64 {
-        self.data.len() as u64 * self.bytes_per_word
+    /// Whether a 4-byte read at device address `addr` lies inside the
+    /// buffer.
+    #[inline]
+    fn holds(&self, addr: u64) -> bool {
+        addr >= self.base && addr + 4 <= self.base + self.len
+    }
+
+    /// What a 4-byte read at byte offset `off` (a read the buffer
+    /// [holds](Self::holds)) returns: the stored word whose first four
+    /// bytes hold `off`, 0 anywhere else.
+    #[inline]
+    fn word_at(&self, off: u64) -> u32 {
+        if off % self.bytes_per_word < 4 {
+            self.data[(off / self.bytes_per_word) as usize]
+        } else {
+            0
+        }
     }
 }
 
@@ -203,11 +225,14 @@ impl Gpu {
     }
 
     /// Allocates `bytes` of device address space backed by one stored word
-    /// per `stride_bytes` — the sparse representation of a page-stride
-    /// chase ring, whose footprint (what the device maps and the TLB
-    /// covers) can span gigabytes while host memory stays proportional to
-    /// the element count. Reads at non-element offsets return 0, exactly
-    /// like the untouched words of a dense zero-initialised buffer.
+    /// per `stride_bytes` — how every p-chase ring is stored. A chase reads
+    /// only the first word of each element, so host memory is 4 bytes per
+    /// element whatever the stride: a 32 B-stride cache ring costs an
+    /// eighth of a dense buffer, and a page-stride TLB ring spanning
+    /// gigabytes costs kilobytes. Device addresses are the same as
+    /// [`Self::alloc`] would hand out, and reads outside the stored words
+    /// return 0, exactly like the untouched words of a dense
+    /// zero-initialised buffer.
     pub fn alloc_strided(
         &mut self,
         space: MemorySpace,
@@ -237,6 +262,7 @@ impl Gpu {
         self.allocated += bytes;
         self.buffers.push(Buffer {
             base,
+            len: bytes.div_ceil(4) * 4,
             bytes_per_word,
             data: vec![0u32; words],
         });
@@ -285,22 +311,11 @@ impl Gpu {
     }
 
     fn read_mem(&self, addr: u64) -> u32 {
-        for buf in &self.buffers {
-            let end = buf.base + buf.len_bytes();
-            if addr >= buf.base && addr + 4 <= end {
-                let off = addr - buf.base;
-                if buf.bytes_per_word == 4 {
-                    return buf.data[(off / 4) as usize];
-                }
-                // Sparse buffer: only element-start words are backed.
-                return if off.is_multiple_of(buf.bytes_per_word) {
-                    buf.data[(off / buf.bytes_per_word) as usize]
-                } else {
-                    0
-                };
-            }
-        }
-        0 // unmapped reads return zero, like a zero page
+        // Unmapped reads return zero, like a zero page.
+        self.buffers
+            .iter()
+            .find(|buf| buf.holds(addr))
+            .map_or(0, |buf| buf.word_at(addr - buf.base))
     }
 
     /// [`Self::read_mem`] with a pre-resolved buffer index: the p-chase
@@ -312,16 +327,8 @@ impl Gpu {
     #[inline]
     fn read_mem_hint(&self, hint: usize, addr: u64) -> u32 {
         if let Some(buf) = self.buffers.get(hint) {
-            let end = buf.base + buf.len_bytes();
-            if addr >= buf.base && addr + 4 <= end {
-                let off = addr - buf.base;
-                return if buf.bytes_per_word == 4 {
-                    buf.data[(off / 4) as usize]
-                } else if off.is_multiple_of(buf.bytes_per_word) {
-                    buf.data[(off / buf.bytes_per_word) as usize]
-                } else {
-                    0
-                };
+            if buf.holds(addr) {
+                return buf.word_at(addr - buf.base);
             }
         }
         self.read_mem(addr)
@@ -332,7 +339,7 @@ impl Gpu {
     fn buffer_index_of(&self, addr: u64) -> usize {
         self.buffers
             .iter()
-            .position(|b| addr >= b.base && addr + 4 <= b.base + b.len_bytes())
+            .position(|b| b.holds(addr))
             .unwrap_or(usize::MAX)
     }
 
@@ -812,52 +819,100 @@ mod tests {
     /// the batched executor on identically-forked GPUs and asserts
     /// bit-identical records, cycles and statistics — the contract that
     /// lets `mt4g_core::pchase` switch to the batch API without changing
-    /// a single measured value.
+    /// a single measured value. Each chase runs on a dense [`Gpu::alloc`]
+    /// ring and on [`Gpu::alloc_strided`] rings at the 32 B and 128 B
+    /// strides the cache benchmarks chase at, so the interpreter's strided
+    /// `read_mem` path is pinned too.
     fn assert_batch_matches_interpreter(gpu: &Gpu, space: MemorySpace, flags: LoadFlags) {
-        let setup = |g: &mut Gpu| {
-            let buf = g.alloc(space, 8192).unwrap();
-            let n = g.init_pchase(buf, 8192, 32);
-            (g.buffer_base(buf), n)
-        };
-        for warmup in [true, false] {
-            let mut a = gpu.fork(99);
-            let mut b = gpu.fork(99);
-            let (base_a, n) = setup(&mut a);
-            let (base_b, _) = setup(&mut b);
-            assert_eq!(base_a, base_b);
-            let kernel = KernelBuilder::pchase_kernel(
-                gpu.vendor(),
-                base_a,
-                32,
-                n,
-                200,
-                space,
-                flags,
-                warmup,
-            );
-            let want = a.launch(0, 0, &kernel, 128);
-            let got = b.pchase_batch(
-                0,
-                0,
-                &PchaseBatch {
-                    base: base_b,
-                    elem_bytes: 32,
-                    n_elems: n,
-                    timed_steps: 200,
+        for (strided, stride) in [(false, 32), (true, 32), (true, 128)] {
+            let setup = |g: &mut Gpu| {
+                let buf = if strided {
+                    g.alloc_strided(space, 8192, stride)
+                } else {
+                    g.alloc(space, 8192)
+                }
+                .unwrap();
+                let n = g.init_pchase(buf, 8192, stride);
+                (g.buffer_base(buf), n)
+            };
+            for warmup in [true, false] {
+                let ctx = format!("strided={strided} stride={stride} warmup={warmup}");
+                let mut a = gpu.fork(99);
+                let mut b = gpu.fork(99);
+                let (base_a, n) = setup(&mut a);
+                let (base_b, _) = setup(&mut b);
+                assert_eq!(base_a, base_b);
+                let kernel = KernelBuilder::pchase_kernel(
+                    gpu.vendor(),
+                    base_a,
+                    stride,
+                    n,
+                    200,
                     space,
                     flags,
                     warmup,
-                },
-                128,
-            );
-            assert_eq!(want, got, "warmup={warmup}");
-            assert_eq!(a.stats(), b.stats(), "warmup={warmup}");
-            assert_eq!(a.elapsed_cycles(), b.elapsed_cycles(), "warmup={warmup}");
-            // The RNG streams must also be position-identical: a further
-            // identical run on both devices stays in lockstep.
-            let w2 = a.launch(0, 0, &kernel, 128);
-            let g2 = b.launch(0, 0, &kernel, 128);
-            assert_eq!(w2, g2, "post-run RNG positions diverged");
+                );
+                let want = a.launch(0, 0, &kernel, 128);
+                let got = b.pchase_batch(
+                    0,
+                    0,
+                    &PchaseBatch {
+                        base: base_b,
+                        elem_bytes: stride,
+                        n_elems: n,
+                        timed_steps: 200,
+                        space,
+                        flags,
+                        warmup,
+                    },
+                    128,
+                );
+                assert_eq!(want, got, "{ctx}");
+                assert_eq!(a.stats(), b.stats(), "{ctx}");
+                assert_eq!(a.elapsed_cycles(), b.elapsed_cycles(), "{ctx}");
+                // The RNG streams must also be position-identical: a
+                // further identical run on both devices stays in lockstep.
+                let w2 = a.launch(0, 0, &kernel, 128);
+                let g2 = b.launch(0, 0, &kernel, 128);
+                assert_eq!(w2, g2, "post-run RNG positions diverged ({ctx})");
+            }
+        }
+    }
+
+    #[test]
+    fn strided_ring_reads_like_a_dense_ring() {
+        // Every 4-byte read, aligned or not, past the ring's end and into
+        // the allocation after it, returns what the dense zero-initialised
+        // ring returns — including a stride that is not a power of two
+        // (the division path), a size that is not a whole number of
+        // elements, and a stride of three pages, whose partial last
+        // element spans address space the next allocation owns.
+        for stride in [4u64, 32, 48, 128, 4096, 12288] {
+            let bytes = 8 * stride + 20;
+            let mut dense = quiet_gpu();
+            let mut strided = quiet_gpu();
+            let d = dense.alloc(MemorySpace::Global, bytes).unwrap();
+            let s = strided
+                .alloc_strided(MemorySpace::Global, bytes, stride)
+                .unwrap();
+            assert_eq!(dense.buffer_base(d), strided.buffer_base(s));
+            dense.init_pchase(d, bytes, stride);
+            strided.init_pchase(s, bytes, stride);
+            let mut end = 0;
+            for gpu in [&mut dense, &mut strided] {
+                let next = gpu.alloc(MemorySpace::Global, 4096).unwrap();
+                gpu.write_words(next, 0, &[0xA5A5_A5A5; 1024]);
+                end = gpu.buffer_base(next) + 4096 + 8;
+            }
+            let base = dense.buffer_base(d);
+            for addr in base..end {
+                assert_eq!(
+                    dense.read_mem(addr),
+                    strided.read_mem(addr),
+                    "stride {stride} offset {}",
+                    addr - base
+                );
+            }
         }
     }
 

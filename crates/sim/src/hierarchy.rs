@@ -135,10 +135,10 @@ pub struct MemorySubsystem {
     /// every preset: 2 MiB driver large pages), else [`NO_PAGE_SHIFT`] and
     /// the page number falls back to a division.
     tlb_page_shift: u32,
-    /// Single-entry `(sm, page)` translation memo: a p-chase loop over a
-    /// sparse `alloc_strided` buffer touches one page, so after the first
-    /// load the whole TLB walk is a foregone conclusion. A repeat
-    /// translation of the same page from the same SM is exactly the
+    /// Single-entry `(sm, page)` translation memo: a p-chase walks its ring
+    /// in address order, so consecutive loads stay on one page and, after
+    /// a page's first load, the whole TLB walk is a foregone conclusion.
+    /// A repeat translation of the same page from the same SM is exactly the
     /// [`Tlb`] `last_page` fast path — an L1-TLB hit with zero state
     /// change anywhere (the L2 TLB is never consulted on an L1 hit) and
     /// zero penalty — so skipping it is behaviour-identical. Any other
