@@ -369,7 +369,8 @@ pub struct RuntimeInfo {
     pub kernels_launched: u64,
     /// Loads executed.
     pub loads_executed: u64,
-    /// Total simulated GPU cycles.
+    /// Total simulated GPU cycles. Timed loads are charged their noisy
+    /// latency, untimed (warm-up) loads their noiseless one.
     pub gpu_cycles: u64,
 }
 

@@ -23,8 +23,9 @@ use super::DiscoveryConfig;
 /// opt-in knobs the fingerprint), and unit results grew `tlb` /
 /// `contention` row sections. v4: the replacement-policy unit joined the
 /// enumeration (and `--policy` the fingerprint), and unit results grew a
-/// `policy` row section.
-pub(crate) const PLAN_FORMAT: u32 = 4;
+/// `policy` row section. v5: untimed loads draw no measurement noise, so
+/// every measured value is re-drawn.
+pub(crate) const PLAN_FORMAT: u32 = 5;
 
 /// One schedulable unit of discovery work.
 #[derive(Debug, Clone)]

@@ -14,7 +14,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::device::{DeviceConfig, LoadFlags, MemorySpace, Vendor, CONSTANT_ARRAY_LIMIT};
 use crate::hierarchy::{LoadResolution, MemorySubsystem};
 use crate::isa::{Instr, Kernel};
-use crate::noise::{NoiseDraw, NoiseModel};
+use crate::noise::NoiseModel;
 
 /// Handle to a device buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,11 +65,6 @@ const ALU_COST: u64 = 1;
 /// Cycle cost of a shared-memory store inside the timed step.
 const STORE_SHARED_COST: u64 = 2;
 
-/// Noise draws pre-drawn per batch chunk in the native p-chase loops (see
-/// [`Gpu::pchase_exec`]). Sized to keep the scratch array in L1 while
-/// amortising the chunk-loop overhead.
-const NOISE_CHUNK: usize = 128;
-
 /// Outcome of one kernel launch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaunchResult {
@@ -108,7 +103,8 @@ pub struct GpuStats {
     pub kernels_launched: u64,
     /// Loads executed (timed + warm-up).
     pub loads_executed: u64,
-    /// Total simulated GPU cycles across launches.
+    /// Total simulated GPU cycles across launches. Timed loads are charged
+    /// their noisy latency, untimed (warm-up) loads their noiseless one.
     pub total_cycles: u64,
 }
 
@@ -349,8 +345,9 @@ impl Gpu {
     }
 
     /// Executes a raw load outside any kernel (used by a few benchmarks
-    /// that classify hit/miss directly). Advances the clock like a kernel
-    /// load would and returns the resolution plus the noisy latency.
+    /// that classify hit/miss directly). Advances the clock like a timed
+    /// kernel load would and returns the resolution plus the noisy
+    /// latency — the caller reads that latency, so it always draws noise.
     pub fn raw_load(
         &mut self,
         sm: usize,
@@ -432,6 +429,12 @@ impl Gpu {
     /// executes; they cost [`ALU_COST`] each and never sit between the two
     /// clock reads, so summing them up front keeps the cycle accounting
     /// identical to the interpreter's.
+    ///
+    /// Only the timed loads draw measurement noise, one
+    /// [`NoiseModel::sample`] each, in load order. A warm-up load sits in
+    /// no clock window, so it is charged its noiseless latency and
+    /// consumes no RNG: a chase's draws, and so the noise its records
+    /// see, do not depend on how long its warm-up lap was.
     #[allow(clippy::too_many_arguments)]
     fn pchase_exec(
         &mut self,
@@ -458,61 +461,31 @@ impl Gpu {
         // The chase ring never leaves the buffer holding its base; resolve
         // the buffer scan once per batch.
         let hint = self.buffer_index_of(batch.base);
-        // Noise draws are batched in chunks ahead of the loads. The loads
-        // never consume RNG and the draws never depend on a latency, so
-        // the RNG stream is draw-for-draw identical to the historical
-        // interleaved order (pinned by the interpreter-lockstep tests).
-        let noise = self.noise;
-        let silent = noise.is_silent();
-        let mut draws = [NoiseDraw::default(); NOISE_CHUNK];
 
         let mut records = Vec::with_capacity(max_records.min(4096));
         let mut addr = batch.base;
         // Warm-up pass: Load + MulImm + Add + BranchDecNz per element.
-        let mut remaining = warm_steps;
-        while remaining > 0 {
-            let k = remaining.min(NOISE_CHUNK as u64) as usize;
-            if !silent {
-                for d in &mut draws[..k] {
-                    *d = noise.draw(&mut self.rng);
-                }
-            }
-            for d in &draws[..k] {
-                let res = self.mem.load(sm, core, batch.space, batch.flags, addr);
-                let lat = noise.apply(res.latency, *d);
-                self.cycle += lat as u64 + 3 * ALU_COST;
-                let idx = self.read_mem_hint(hint, addr) as u64;
-                addr = batch.base + idx * batch.elem_bytes;
-            }
-            self.stats.loads_executed += k as u64;
-            remaining -= k as u64;
+        for _ in 0..warm_steps {
+            let res = self.mem.load(sm, core, batch.space, batch.flags, addr);
+            self.cycle += res.latency.max(1) as u64 + 3 * ALU_COST;
+            let idx = self.read_mem_hint(hint, addr) as u64;
+            addr = batch.base + idx * batch.elem_bytes;
         }
         // Timed pass, restarting from element 0: per step
         // [fences;] clock; load; store/fences; clock; sub; record; mul; add;
         // branch — the recorded value is `latency + store cost + overhead`.
         addr = batch.base;
-        let mut remaining = timed_steps;
-        while remaining > 0 {
-            let k = remaining.min(NOISE_CHUNK as u64) as usize;
-            if !silent {
-                for d in &mut draws[..k] {
-                    *d = noise.draw(&mut self.rng);
-                }
+        for _ in 0..timed_steps {
+            let res = self.mem.load(sm, core, batch.space, batch.flags, addr);
+            let lat = self.noise.sample(&mut self.rng, res.latency);
+            self.cycle += pre_fences + 2 * overhead + lat as u64 + STORE_SHARED_COST + 4 * ALU_COST;
+            if records.len() < max_records {
+                records.push((lat as u64 + STORE_SHARED_COST + overhead) as u32);
             }
-            for d in &draws[..k] {
-                let res = self.mem.load(sm, core, batch.space, batch.flags, addr);
-                let lat = noise.apply(res.latency, *d);
-                self.cycle +=
-                    pre_fences + 2 * overhead + lat as u64 + STORE_SHARED_COST + 4 * ALU_COST;
-                if records.len() < max_records {
-                    records.push((lat as u64 + STORE_SHARED_COST + overhead) as u32);
-                }
-                let idx = self.read_mem_hint(hint, addr) as u64;
-                addr = batch.base + idx * batch.elem_bytes;
-            }
-            self.stats.loads_executed += k as u64;
-            remaining -= k as u64;
+            let idx = self.read_mem_hint(hint, addr) as u64;
+            addr = batch.base + idx * batch.elem_bytes;
         }
+        self.stats.loads_executed += warm_steps + timed_steps;
         let cycles = self.cycle - start_cycle;
         self.stats.total_cycles += cycles;
         LaunchResult { records, cycles }
@@ -520,6 +493,12 @@ impl Gpu {
 
     /// Launches `kernel` on (`sm`, `core`), recording at most `max_records`
     /// values (the paper's "first N results").
+    ///
+    /// Clock reads pair up into windows: the first `ReadClock` opens one,
+    /// the next closes it. A `Load` inside a window is timed and draws
+    /// measurement noise; a `Load` outside one is charged its noiseless
+    /// latency and consumes no RNG — the rule [`Self::pchase_batch`]
+    /// follows.
     pub fn launch(
         &mut self,
         sm: usize,
@@ -531,6 +510,7 @@ impl Gpu {
         let mut regs = vec![0u64; kernel.num_regs];
         let mut records = Vec::with_capacity(max_records.min(4096));
         let mut pc = 0usize;
+        let mut clock_open = false;
         self.stats.kernels_launched += 1;
 
         while pc < kernel.instrs.len() {
@@ -538,6 +518,7 @@ impl Gpu {
                 Instr::ReadClock(dst) => {
                     self.cycle += self.config.clock_overhead_cycles as u64;
                     regs[dst] = self.cycle;
+                    clock_open = !clock_open;
                 }
                 Instr::Load {
                     dst,
@@ -547,7 +528,11 @@ impl Gpu {
                 } => {
                     let a = regs[addr];
                     let res = self.mem.load(sm, core, space, flags, a);
-                    let lat = self.noise.sample(&mut self.rng, res.latency);
+                    let lat = if clock_open {
+                        self.noise.sample(&mut self.rng, res.latency)
+                    } else {
+                        res.latency.max(1)
+                    };
                     self.cycle += lat as u64;
                     self.stats.loads_executed += 1;
                     regs[dst] = self.read_mem(a) as u64;
@@ -933,10 +918,10 @@ mod tests {
         assert_batch_matches_interpreter(&gpu, MemorySpace::Scalar, LoadFlags::CACHE_ALL);
     }
 
-    /// The batched executor pre-draws noise in chunks; the interpreter
-    /// draws per load. They must stay in RNG lockstep under every noise
-    /// model — including HOSTILE (both the jitter and outlier draws are
-    /// live) and NONE (the silent fast path must consume *no* RNG).
+    /// The batched executor draws per timed step; the interpreter draws
+    /// per load inside a clock window. They must stay in RNG lockstep
+    /// under every noise model — including HOSTILE (both the jitter and
+    /// outlier draws are live) and NONE (which consumes *no* RNG).
     #[test]
     fn pchase_batch_matches_interpreter_under_every_noise_model() {
         for noise in [NoiseModel::DEFAULT, NoiseModel::HOSTILE, NoiseModel::NONE] {
@@ -947,6 +932,58 @@ mod tests {
             amd.set_noise(noise);
             assert_batch_matches_interpreter(&amd, MemorySpace::Vector, LoadFlags::CACHE_ALL);
         }
+    }
+
+    /// Untimed loads draw no noise, so RNG use does not depend on warm-up
+    /// length: two forks of one stream that chase an 8 KiB and a 1 MiB
+    /// ring (warm-up laps of 256 and 32 768 loads, the same 256 timed
+    /// steps) sit at the same stream position afterwards, and an
+    /// identical timed chase on both records the same latencies. A
+    /// warm-only batch draws nothing at all and charges the cycles a
+    /// silent model charges.
+    #[test]
+    fn untimed_loads_draw_no_noise() {
+        let gpu = Gpu::new(presets::h100_80().config);
+        assert_eq!(gpu.noise(), NoiseModel::DEFAULT);
+        let ring = |g: &mut Gpu, bytes: u64, warmup: bool| {
+            g.free_all();
+            g.flush_caches();
+            let buf = g.alloc_strided(MemorySpace::Global, bytes, 32).unwrap();
+            PchaseBatch {
+                base: g.buffer_base(buf),
+                elem_bytes: 32,
+                n_elems: g.init_pchase(buf, bytes, 32),
+                timed_steps: 256,
+                space: MemorySpace::Global,
+                flags: LoadFlags::CACHE_ALL,
+                warmup,
+            }
+        };
+
+        let mut short_lap = gpu.fork(3);
+        let mut long_lap = gpu.fork(3);
+        for (g, bytes) in [(&mut short_lap, 8 << 10), (&mut long_lap, 1 << 20)] {
+            let batch = ring(g, bytes, true);
+            g.pchase_batch(0, 0, &batch, 256);
+        }
+        let timed = |g: &mut Gpu| {
+            let batch = ring(g, 64 << 10, false);
+            g.pchase_timed_batch(0, 0, &batch, 256)
+        };
+        assert_eq!(timed(&mut short_lap), timed(&mut long_lap));
+
+        let warm_only = |noise: NoiseModel| {
+            let mut g = gpu.fork(4);
+            g.set_noise(noise);
+            let batch = ring(&mut g, 1 << 20, true);
+            g.pchase_warm_batch(0, 0, &batch);
+            g
+        };
+        let noisy = warm_only(NoiseModel::DEFAULT);
+        let silent = warm_only(NoiseModel::NONE);
+        assert_eq!(noisy.rng, gpu.fork(4).rng, "a warm-up lap draws nothing");
+        assert_eq!(noisy.stats(), silent.stats());
+        assert_eq!(noisy.elapsed_cycles(), silent.elapsed_cycles());
     }
 
     #[test]

@@ -62,28 +62,20 @@ impl NoiseModel {
     /// Samples a noisy latency around `base` cycles. The result is at least
     /// 1 cycle — hardware clocks never run backwards.
     ///
-    /// Equivalent to `self.apply(base, self.draw(rng))` — the split form
-    /// exists so hot loops can batch the RNG work (see [`Self::draw`]).
+    /// Equivalent to `self.apply(base, self.draw(rng))`.
     pub fn sample(&self, rng: &mut ChaCha8Rng, base: u32) -> u32 {
         self.apply(base, self.draw(rng))
     }
 
-    /// True when sampling consumes nothing from the RNG and returns the
-    /// base unchanged (modulo the `>= 1` clamp) — lets batch loops skip
-    /// the draw stage entirely under [`NoiseModel::NONE`].
-    #[inline]
-    pub fn is_silent(&self) -> bool {
-        self.jitter_sd <= 0.0 && self.outlier_prob <= 0.0
-    }
-
     /// Draws the random part of one sample, without a base latency.
     ///
-    /// RNG consumption is call-for-call identical to the historical inline
-    /// body of [`Self::sample`]: a Box–Muller gaussian (two uniforms) iff
+    /// Consumes, in order: a Box–Muller gaussian (two uniforms) iff
     /// jitter is enabled, then an outlier coin iff outliers are enabled,
     /// then the spike magnitude iff the coin landed. The draws never
-    /// depend on `base`, which is what makes pre-drawing a batch of these
-    /// ahead of the loads byte-identical to drawing them interleaved.
+    /// depend on `base`, so drawing a sample ahead of its load and
+    /// applying it afterwards gives what [`Self::sample`] gives. The
+    /// simulator calls this once per timed load; untimed loads draw
+    /// nothing.
     #[inline]
     pub fn draw(&self, rng: &mut ChaCha8Rng) -> NoiseDraw {
         let jitter = if self.jitter_sd > 0.0 {
@@ -114,8 +106,8 @@ impl NoiseModel {
     }
 }
 
-/// The random part of one [`NoiseModel::sample`], pre-drawable in batches:
-/// the two additive terms are kept separate so [`NoiseModel::apply`] can
+/// The random part of one [`NoiseModel::sample`], drawable ahead of its
+/// load: the two additive terms are kept separate so [`NoiseModel::apply`] can
 /// replay the exact FP op order of the fused path.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NoiseDraw {
@@ -205,7 +197,7 @@ mod tests {
         // Pre-drawing a whole batch of NoiseDraws and applying them to
         // bases afterwards must produce the same latencies AND leave the
         // RNG at the same position as interleaved per-element sample()
-        // calls — the invariant the batched p-chase loops rest on.
+        // calls — the invariant that lets a caller draw ahead of its loads.
         for model in [NoiseModel::DEFAULT, NoiseModel::HOSTILE, NoiseModel::NONE] {
             let mut per_elem = ChaCha8Rng::seed_from_u64(7);
             let mut batched = ChaCha8Rng::seed_from_u64(7);
@@ -231,7 +223,7 @@ mod tests {
                 model.sample(&mut batched, 123),
             );
             assert_eq!(per_elem, batched, "RNG state must be identical");
-            if model.is_silent() {
+            if model == NoiseModel::NONE {
                 assert_eq!(per_elem, ChaCha8Rng::seed_from_u64(7), "NONE draws nothing");
             }
         }
