@@ -10,18 +10,14 @@ fn bench_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache_access");
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
-    // (label, size, ways)
-    let configs: [(&str, u64, u32); 3] = [
-        ("l1_238k_fa", 238 * 1024, FULLY_ASSOCIATIVE),
-        ("l2_25m_fa", 25 * 1024 * 1024, FULLY_ASSOCIATIVE),
-        ("l1_238k_4way", 238 * 1024, 4),
-    ];
-    for (label, size, ways) in configs {
+    // (label, size); every preset cache is fully associative.
+    let configs: [(&str, u64); 2] = [("l1_238k_fa", 238 * 1024), ("l2_25m_fa", 25 * 1024 * 1024)];
+    for (label, size) in configs {
         let accesses = 16_384u64;
         group.throughput(Throughput::Elements(accesses));
         group.bench_with_input(BenchmarkId::new("sequential", label), &size, |b, _| {
             b.iter(|| {
-                let mut cache = SectoredCache::new(size, 128, 32, ways);
+                let mut cache = SectoredCache::new(size, 128, 32, FULLY_ASSOCIATIVE);
                 let mut acc = 0u64;
                 for i in 0..accesses {
                     acc += cache.access(black_box(i * 32)).is_hit() as u64;
@@ -34,7 +30,7 @@ fn bench_cache(c: &mut Criterion) {
             // capacity, filled by one lap outside the timed region, so each
             // timed access walks lines the cache has already evicted.
             let ring = 2 * size;
-            let mut cache = SectoredCache::new(size, 128, 32, ways);
+            let mut cache = SectoredCache::new(size, 128, 32, FULLY_ASSOCIATIVE);
             let mut next = 0u64;
             let mut walk = move |n: u64| {
                 let mut acc = 0u64;
@@ -54,7 +50,7 @@ fn bench_cache(c: &mut Criterion) {
                 // access evicts).
                 let wrap = size + 128;
                 b.iter(|| {
-                    let mut cache = SectoredCache::new(size, 128, 32, ways);
+                    let mut cache = SectoredCache::new(size, 128, 32, FULLY_ASSOCIATIVE);
                     let mut acc = 0u64;
                     for i in 0..accesses {
                         acc += cache.access(black_box((i * 32) % wrap)).is_hit() as u64;

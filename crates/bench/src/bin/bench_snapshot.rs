@@ -41,15 +41,11 @@ fn best_ns_per_elem(iters: u32, elements: u64, mut f: impl FnMut() -> u64) -> f6
 }
 
 fn cache_workloads(out: &mut Vec<(String, f64)>) {
-    let configs: [(&str, u64, u32); 3] = [
-        ("l1_238k_fa", 238 * 1024, FULLY_ASSOCIATIVE),
-        ("l2_25m_fa", 25 * 1024 * 1024, FULLY_ASSOCIATIVE),
-        ("l1_238k_4way", 238 * 1024, 4),
-    ];
+    let configs: [(&str, u64); 2] = [("l1_238k_fa", 238 * 1024), ("l2_25m_fa", 25 * 1024 * 1024)];
     let accesses = 16_384u64;
-    for (label, size, ways) in configs {
+    for (label, size) in configs {
         let seq = best_ns_per_elem(5, accesses, || {
-            let mut cache = SectoredCache::new(size, 128, 32, ways);
+            let mut cache = SectoredCache::new(size, 128, 32, FULLY_ASSOCIATIVE);
             let mut acc = 0u64;
             for i in 0..accesses {
                 acc += cache.access(black_box(i * 32)).is_hit() as u64;
@@ -62,7 +58,7 @@ fn cache_workloads(out: &mut Vec<(String, f64)>) {
         } else {
             let wrap = size + 128;
             best_ns_per_elem(5, accesses, || {
-                let mut cache = SectoredCache::new(size, 128, 32, ways);
+                let mut cache = SectoredCache::new(size, 128, 32, FULLY_ASSOCIATIVE);
                 let mut acc = 0u64;
                 for i in 0..accesses {
                     acc += cache.access(black_box((i * 32) % wrap)).is_hit() as u64;

@@ -16,12 +16,12 @@
 //!   each other; actors on distinct instances do not (amount / physical
 //!   sharing benchmarks).
 //!
-//! Two organisations are provided. The **fully associative** one (what the
-//! device presets use) produces the textbook sharp capacity cliff: a
-//! cyclically-chased array one line larger than the cache misses on *every*
-//! access. The **set-associative** one reproduces the paper's Fig. 1
-//! boundary behaviour, where sizes just past the capacity see a *mix* of
-//! hits and misses because only the overflowing sets thrash.
+//! Two organisations are provided. The **fully associative** one (what
+//! every device preset builds) produces the textbook sharp capacity cliff:
+//! a cyclically-chased array one line larger than the cache misses on
+//! *every* access. The **set-associative** one reproduces the paper's
+//! Fig. 1 boundary behaviour, where sizes just past the capacity see a
+//! *mix* of hits and misses because only the overflowing sets thrash.
 //!
 //! # Replacement policies
 //!
@@ -32,34 +32,26 @@
 //! ([`SectoredCache::new_with_policy`]); [`SectoredCache::new`] keeps the
 //! LRU default so every pre-existing caller and report is untouched.
 //!
-//! # The flat tag store
+//! # Storage
 //!
-//! All organisations live in contiguous storage with no per-access
-//! allocation — this is the simulation's hottest loop (millions of
-//! pointer-chase loads per discovery), so the data layout matters:
-//!
-//! * **Set-associative** ([`SetAssoc`]): structure-of-arrays `tags` /
-//!   `sectors` vectors laid out as `num_sets × ways` way-groups, so the
-//!   hot lookup scans a cache-friendly run of bare `u64` tags. The set
-//!   index is a bitmask when the set count is a power of two and a
-//!   division-free multiply-high reduction otherwise. Recency is *packed*
-//!   per set: true-LRU keeps one `u64` of per-way age bytes per set
-//!   (promoted/selected with word-wide SWAR ops, no timestamp scan) for
-//!   up to 8 ways and falls back to a timestamp scan above that;
-//!   tree-PLRU keeps one bit per internal tree node.
-//! * **Fully associative**: a two-level index ([`LineIndex`]) mapping
-//!   line addresses to a slot arena. Its first level is a small
-//!   open-addressed directory keyed by aligned 64-line pages, with the
-//!   keys inline; its second is a dense block of slot ids per page, so a
-//!   sequential chase streams through host memory rather than hashing
-//!   every line into a multi-MB table. Pages are recycled when their last
-//!   line leaves. The LRU engine ([`FlatLru`]) threads the arena with an
-//!   intrusive recency list — O(1) lookup, O(1) true-LRU eviction;
-//!   non-LRU policies use the same index + arena with per-policy recency
-//!   state ([`FaPolicyStore`]). Index and arena grow lazily (nothing is
-//!   allocated before the first access), so huge caches (e.g. a 256 MiB
-//!   L3) cost memory proportional to their *resident* lines, and eviction
-//!   recycles slots in place.
+//! * **Fully associative** — the simulation's hottest loop (millions of
+//!   pointer-chase loads per discovery), so the data layout matters: a
+//!   two-level index (`LineIndex`) maps line addresses to a slot arena.
+//!   Its first level is a small open-addressed directory keyed by aligned
+//!   64-line pages, with the keys inline; its second is a dense block of
+//!   slot ids per page, so a sequential chase streams through host memory
+//!   rather than hashing every line into a multi-MB table. Pages are
+//!   recycled when their last line leaves. The LRU engine (`FlatLru`)
+//!   threads the arena with an intrusive recency list — O(1) lookup, O(1)
+//!   true-LRU eviction; non-LRU policies use the same index + arena with
+//!   per-policy recency state (`FaPolicyStore`). Index and arena grow
+//!   lazily (nothing is allocated before the first access), so huge
+//!   caches (e.g. a 256 MiB L3) cost memory proportional to their
+//!   *resident* lines, and eviction recycles slots in place.
+//! * **Set-associative** — no preset builds one, so it is the plain
+//!   per-set model [`reference::PolicyReferenceCache`], the same code the
+//!   fully-associative engines are tested against and the policy unit
+//!   replays as its predictor.
 //!
 //! The retained [`mod@reference`] implementations plus the differential
 //! property tests in `crates/sim/tests/prop.rs` pin every engine to the
@@ -72,6 +64,7 @@ pub use policy::ReplacementPolicy;
 
 use crate::device::CacheSpec;
 use policy::Xorshift64;
+use reference::PolicyReferenceCache;
 
 /// Associativity value that requests the fully-associative organisation.
 pub const FULLY_ASSOCIATIVE: u32 = u32::MAX;
@@ -94,7 +87,7 @@ impl Access {
     }
 }
 
-/// Tag value marking an empty set-associative way. No reachable byte
+/// Line address marking an empty MRU-line filter. No reachable byte
 /// address maps to this line address (it would need 1-byte lines at the
 /// very top of the address space), so resident tags never collide with it.
 const EMPTY_TAG: u64 = u64::MAX;
@@ -102,14 +95,14 @@ const EMPTY_TAG: u64 = u64::MAX;
 /// Sentinel for "no slot" in the index's slot blocks and recency links.
 const NIL: u32 = u32::MAX;
 
-/// A fully-associative slot: the packed tag triple plus intrusive list
-/// links (`prev` towards LRU, `next` towards MRU for the LRU engine;
-/// segment-list links for SLRU; unused by random/bypass).
+/// A fully-associative slot: the line address and its valid-sector
+/// bitmap plus intrusive list links (`prev` towards LRU, `next` towards
+/// MRU for the LRU engine; segment-list links for SLRU; unused by
+/// random/bypass).
 #[derive(Debug, Clone, Copy)]
 struct FaSlot {
     tag: u64,
     valid_sectors: u64,
-    last_use: u64,
     prev: u32,
     next: u32,
 }
@@ -339,13 +332,13 @@ struct FlatLru {
     head: u32,
     /// Most-recently-used slot, `NIL` when empty.
     tail: u32,
-    /// MRU line filter, mirroring [`SetAssoc`]'s: the line address and
-    /// arena slot of the last access. A repeat access to the MRU line is
-    /// already at the recency tail, so the index lookup and list surgery
-    /// can be skipped entirely — the common case for sector-sequential
-    /// chase patterns, which touch every line `sectors_per_line` times in
-    /// a row. The slot's own tag is re-verified, so a recycled slot falls
-    /// through to the full path. `EMPTY_TAG` = invalid.
+    /// MRU line filter: the line address and arena slot of the last
+    /// access. A repeat access to the MRU line is already at the recency
+    /// tail, so the index lookup and list surgery can be skipped entirely
+    /// — the common case for sector-sequential chase patterns, which
+    /// touch every line `sectors_per_line` times in a row. The slot's own
+    /// tag is re-verified, so a recycled slot falls through to the full
+    /// path. `EMPTY_TAG` = invalid.
     mru_line: u64,
     mru_slot: u32,
 }
@@ -367,27 +360,26 @@ impl FlatLru {
     ///
     /// The fast path is a recency no-op by construction — `mru_line` is
     /// only ever the line of the immediately preceding access, whose slot
-    /// `access_cold` left at the recency tail; `touch` on the tail slot
-    /// changes nothing but `last_use`, which is all the fast path writes.
+    /// `access_cold` left at the recency tail, and `touch` on the tail
+    /// slot changes nothing; only the sector bits are written.
     #[inline]
-    fn access(&mut self, line_addr: u64, sector_bit: u64, tick: u64) -> Access {
+    fn access(&mut self, line_addr: u64, sector_bit: u64) -> Access {
         if line_addr == self.mru_line {
             if let Some(s) = self.slots.get_mut(self.mru_slot as usize) {
                 if s.tag == line_addr {
-                    s.last_use = tick;
                     let had = s.valid_sectors & sector_bit != 0;
                     s.valid_sectors |= sector_bit;
                     return if had { Access::Hit } else { Access::SectorMiss };
                 }
             }
         }
-        self.access_cold(line_addr, sector_bit, tick)
+        self.access_cold(line_addr, sector_bit)
     }
 
     /// The full path: index lookup, recency promotion, allocation.
-    fn access_cold(&mut self, line_addr: u64, sector_bit: u64, tick: u64) -> Access {
+    fn access_cold(&mut self, line_addr: u64, sector_bit: u64) -> Access {
         let result = if let Some(slot) = self.find(line_addr) {
-            self.touch(slot, tick);
+            self.touch(slot);
             self.mru_slot = slot;
             let s = &mut self.slots[slot as usize];
             if s.valid_sectors & sector_bit != 0 {
@@ -397,7 +389,7 @@ impl FlatLru {
                 Access::SectorMiss
             }
         } else {
-            self.mru_slot = self.allocate(line_addr, sector_bit, tick);
+            self.mru_slot = self.allocate(line_addr, sector_bit);
             Access::LineMiss
         };
         self.mru_line = line_addr;
@@ -443,23 +435,21 @@ impl FlatLru {
     }
 
     #[inline]
-    fn touch(&mut self, slot: u32, tick: u64) {
+    fn touch(&mut self, slot: u32) {
         if self.tail != slot {
             self.unlink(slot);
             self.push_tail(slot);
         }
-        self.slots[slot as usize].last_use = tick;
     }
 
     /// Allocates a slot for a new line: recycles the LRU victim when full,
     /// otherwise grows the arena. Returns the arena index.
-    fn allocate(&mut self, line_addr: u64, sector_bit: u64, tick: u64) -> u32 {
+    fn allocate(&mut self, line_addr: u64, sector_bit: u64) -> u32 {
         let slot = if (self.slots.len() as u64) < self.capacity_lines {
             let idx = self.slots.len() as u32;
             self.slots.push(FaSlot {
                 tag: line_addr,
                 valid_sectors: sector_bit,
-                last_use: tick,
                 prev: NIL,
                 next: NIL,
             });
@@ -473,7 +463,6 @@ impl FlatLru {
             let s = &mut self.slots[victim as usize];
             s.tag = line_addr;
             s.valid_sectors = sector_bit;
-            s.last_use = tick;
             victim
         };
         self.index.insert(line_addr, slot);
@@ -490,47 +479,7 @@ impl FlatLru {
     }
 }
 
-// --- packed per-set recency (the SWAR age vector and the PLRU tree) ---
-
-/// Per-byte broadcast and high-bit masks for the 8-lane age vector.
-const LANES_LO: u64 = 0x0101_0101_0101_0101;
-const LANES_HI: u64 = 0x8080_8080_8080_8080;
-
-/// One SWAR step over a packed age word (one byte per way, `0` = MRU,
-/// `0xFF` = empty/padding lane): ages every lane whose value is `<= k_le`
-/// by one, then clears `lane` to 0 (the new MRU).
-///
-/// Lane-wise, `(0x80 + k_le) - (age & 0x7F)` has bit 7 set exactly when
-/// `age <= k_le`; empty `0xFF` lanes mask to `0x7F`, which always exceeds
-/// `k_le <= 7`, so they are never aged. The per-lane minuend (`>= 0x80`)
-/// always exceeds the subtrahend (`<= 0x7F`), so no borrow crosses lanes.
-#[inline]
-fn age_promote(ages: u64, lane: u32, k_le: u64) -> u64 {
-    debug_assert!(k_le <= 7);
-    let t = ((k_le * LANES_LO) | LANES_HI).wrapping_sub(ages & !LANES_HI);
-    let bumped = ages.wrapping_add((t & LANES_HI) >> 7);
-    bumped & !(0xFFu64 << (lane * 8))
-}
-
-/// Number of occupied lanes in a packed age word. Valid ages are `<= 7`,
-/// so a set high bit identifies exactly the `0xFF` empty/padding lanes.
-#[inline]
-fn age_filled(ages: u64) -> u64 {
-    8 - (ages & LANES_HI).count_ones() as u64
-}
-
-/// Index of the lane holding age `ways - 1` (the LRU victim) in a full
-/// packed age word. XOR turns the victim byte into `0x00`; the classic
-/// zero-byte detect then flags it. A false positive needs a borrow from a
-/// *lower* zero byte, so the lowest flagged byte is always the true zero,
-/// and `0xFF` padding lanes (`0xFF ^ k >= 0xF8`) never flag.
-#[inline]
-fn age_victim(ages: u64, ways: u32) -> u32 {
-    let t = ages ^ ((ways as u64 - 1) * LANES_LO);
-    let z = t.wrapping_sub(LANES_LO) & !t & LANES_HI;
-    debug_assert_ne!(z, 0, "full set must contain age ways-1");
-    z.trailing_zeros() / 8
-}
+// --- the packed PLRU tree ---
 
 /// Points every ancestor of `way`'s leaf away from it (a PLRU touch).
 /// `bits` holds one bit per internal node of the heap-numbered tree over
@@ -573,515 +522,11 @@ fn plru_victim(bits: &[u64], padded: u64, valid: u64) -> u64 {
     lo
 }
 
-/// Division-free `line % d` for non-power-of-two `d`: multiply-high
-/// against `magic = floor(u64::MAX / d)`. The quotient estimate is at
-/// most 2 below the true one, fixed up by two branch-free conditional
-/// subtracts (a data-dependent fixup *loop* would mispredict on the hot
-/// path).
-#[inline]
-fn fastmod(line: u64, magic: u64, d: u64) -> u64 {
-    let q = ((line as u128 * magic as u128) >> 64) as u64;
-    let mut r = line - q.wrapping_mul(d);
-    r -= d * ((r >= d) as u64);
-    r -= d * ((r >= d) as u64);
-    debug_assert!(r < d);
-    r
-}
-
 /// Bit-words needed for the internal nodes of a PLRU tree over `padded`
 /// leaves (zero for a 1-leaf tree, which has no internal nodes).
 #[inline]
 fn plru_words(padded: u64) -> usize {
     ((padded - 1) as usize).div_ceil(64)
-}
-
-// --- the set-associative organisation ---
-
-/// Per-policy recency state of [`SetAssoc`]. The LRU default packs one
-/// `u64` age vector per set when the way count allows it and falls back
-/// to the historical timestamp scan above 8 ways; both are exact
-/// true-LRU, so the choice is invisible to behaviour.
-#[derive(Debug)]
-enum SaState {
-    /// Exact LRU, `ways <= 8`: one packed age word per set.
-    AgePacked { ages: Vec<u64> },
-    /// Exact LRU, `ways > 8`: per-way timestamps, victim = min scan.
-    AgeStamp { stamps: Vec<u64> },
-    /// Tree-PLRU: per-set internal-node bits over `padded` leaves.
-    Plru {
-        bits: Vec<u64>,
-        padded: u64,
-        words: usize,
-    },
-    /// Segmented LRU: per-way timestamps + per-set protected bitmask.
-    Slru {
-        stamps: Vec<u64>,
-        protected: Vec<u64>,
-        prot_cap: u32,
-    },
-    /// Seeded uniform-random victim (one stream per cache instance).
-    Random(Xorshift64),
-    /// Streaming: never evicts; full sets stop allocating.
-    Bypass,
-}
-
-/// Set-associative organisation: structure-of-arrays tag store plus the
-/// packed per-set recency state (see module docs).
-#[derive(Debug)]
-struct SetAssoc {
-    /// Way slots. With `pack_shift = Some(spl)` — `spl` the
-    /// sectors-per-line count, taken whenever it is `<= 16` (every
-    /// modeled geometry) — each way is a single word, `tag << spl |
-    /// valid-sector bitmap`, so a 4-way set spans 32 bytes and the tag
-    /// scan, sector test and line fill each touch one word. All-ones
-    /// (`EMPTY_TAG`) marks an empty way: a real slot with every sector
-    /// valid never has the all-ones *tag*, which sits above the
-    /// reachable address space. Geometries with more than 16 sectors
-    /// per line fall back to interleaved (tag, bitmap) pairs at lane
-    /// stride 2.
-    lanes: Vec<u64>,
-    /// `Some(sectors_per_line)` for the packed single-word layout.
-    pack_shift: Option<u32>,
-    /// MRU line filter (a way-predictor analogue) for the packed
-    /// exact-LRU configuration: the line address and lane index of the
-    /// last hit or fill. A repeat access to the MRU line leaves every
-    /// recency bit unchanged under exact LRU (its age is already 0), so
-    /// the set indexing and way scan are skipped entirely — the common
-    /// case for sector-sequential p-chase patterns. `EMPTY_TAG` =
-    /// invalid.
-    mru_line: u64,
-    mru_lane: u32,
-    num_sets: u64,
-    /// `Some(num_sets - 1)` when the set count is a power of two.
-    set_mask: Option<u64>,
-    /// `floor(u64::MAX / num_sets)` for the division-free reduction on
-    /// non-power-of-two set counts.
-    mod_magic: u64,
-    ways: u32,
-    state: SaState,
-}
-
-impl SetAssoc {
-    fn new(total_lines: u64, ways: u32, sectors_per_line: u32, policy: ReplacementPolicy) -> Self {
-        debug_assert!(ways as u64 > 0 && total_lines.is_multiple_of(ways as u64));
-        let num_sets = total_lines / ways as u64;
-        let state = match policy {
-            ReplacementPolicy::Lru if ways <= 8 => SaState::AgePacked {
-                ages: vec![u64::MAX; num_sets as usize],
-            },
-            ReplacementPolicy::Lru => SaState::AgeStamp {
-                stamps: vec![0; total_lines as usize],
-            },
-            ReplacementPolicy::TreePlru => {
-                let padded = (ways as u64).next_power_of_two();
-                let words = plru_words(padded);
-                SaState::Plru {
-                    bits: vec![0; num_sets as usize * words],
-                    padded,
-                    words,
-                }
-            }
-            ReplacementPolicy::Slru => {
-                assert!(
-                    ways <= 64,
-                    "SLRU supports at most 64 ways (per-set protected bitmask)"
-                );
-                SaState::Slru {
-                    stamps: vec![0; total_lines as usize],
-                    protected: vec![0; num_sets as usize],
-                    prot_cap: ways / 2,
-                }
-            }
-            ReplacementPolicy::Random => SaState::Random(Xorshift64::for_geometry(total_lines)),
-            ReplacementPolicy::Bypass => SaState::Bypass,
-        };
-        let (lanes, pack_shift) = if sectors_per_line <= 16 {
-            (
-                vec![EMPTY_TAG; total_lines as usize],
-                Some(sectors_per_line),
-            )
-        } else {
-            let mut lanes = vec![0u64; 2 * total_lines as usize];
-            lanes.iter_mut().step_by(2).for_each(|t| *t = EMPTY_TAG);
-            (lanes, None)
-        };
-        SetAssoc {
-            lanes,
-            pack_shift,
-            mru_line: EMPTY_TAG,
-            mru_lane: 0,
-            num_sets,
-            set_mask: num_sets.is_power_of_two().then(|| num_sets - 1),
-            mod_magic: u64::MAX / num_sets,
-            ways,
-            state,
-        }
-    }
-
-    /// Maps a line address to its set.
-    #[inline]
-    fn set_of(&self, line_addr: u64) -> u64 {
-        match self.set_mask {
-            Some(mask) => line_addr & mask,
-            None => fastmod(line_addr, self.mod_magic, self.num_sets),
-        }
-    }
-
-    /// Recency update for a lookup that found the line in `way`.
-    #[inline]
-    fn touch(&mut self, set: u64, base: usize, way: usize, tick: u64) {
-        match &mut self.state {
-            SaState::AgePacked { ages } => {
-                let w = &mut ages[set as usize];
-                let age = (*w >> (way * 8)) & 0xFF;
-                if age != 0 {
-                    *w = age_promote(*w, way as u32, age - 1);
-                }
-            }
-            SaState::AgeStamp { stamps } => stamps[base + way] = tick,
-            SaState::Plru {
-                bits,
-                padded,
-                words,
-            } => {
-                let bits = &mut bits[set as usize * *words..(set as usize + 1) * *words];
-                plru_touch(bits, *padded, way as u64);
-            }
-            SaState::Slru {
-                stamps,
-                protected,
-                prot_cap,
-            } => {
-                let prot = &mut protected[set as usize];
-                let in_prot = (*prot >> way) & 1 == 1;
-                stamps[base + way] = tick;
-                if !in_prot && *prot_cap > 0 {
-                    // Promote to protected; on overflow demote the
-                    // protected-LRU back to probation as its MRU.
-                    *prot |= 1 << way;
-                    if prot.count_ones() > *prot_cap {
-                        let mask = *prot;
-                        let mut demote = 0usize;
-                        let mut oldest = u64::MAX;
-                        for w in 0..self.ways as usize {
-                            if (mask >> w) & 1 == 1 && stamps[base + w] < oldest {
-                                oldest = stamps[base + w];
-                                demote = w;
-                            }
-                        }
-                        *prot &= !(1 << demote);
-                        stamps[base + demote] = tick;
-                    }
-                }
-            }
-            SaState::Random(_) | SaState::Bypass => {}
-        }
-    }
-
-    /// Victim way for a full set, or `None` to skip allocation (bypass).
-    #[inline]
-    fn victim(&mut self, set: u64, base: usize) -> Option<usize> {
-        let ways = self.ways as usize;
-        match &mut self.state {
-            SaState::AgePacked { ages } => Some(age_victim(ages[set as usize], self.ways) as usize),
-            SaState::AgeStamp { stamps } => {
-                let group = &stamps[base..base + ways];
-                let mut dst = 0usize;
-                let mut dst_use = u64::MAX;
-                for (i, &stamp) in group.iter().enumerate() {
-                    if stamp < dst_use {
-                        dst_use = stamp;
-                        dst = i;
-                    }
-                }
-                Some(dst)
-            }
-            SaState::Plru {
-                bits,
-                padded,
-                words,
-            } => {
-                let bits = &bits[set as usize * *words..(set as usize + 1) * *words];
-                Some(plru_victim(bits, *padded, self.ways as u64) as usize)
-            }
-            SaState::Slru {
-                stamps, protected, ..
-            } => {
-                // Probation first; it is never empty on a full set since
-                // the protected segment is capped at half the ways.
-                let prot = protected[set as usize];
-                let mut dst = None;
-                let mut dst_use = u64::MAX;
-                for w in 0..ways {
-                    if (prot >> w) & 1 == 0 && stamps[base + w] < dst_use {
-                        dst_use = stamps[base + w];
-                        dst = Some(w);
-                    }
-                }
-                dst.or_else(|| {
-                    let mut dst = 0usize;
-                    let mut dst_use = u64::MAX;
-                    for w in 0..ways {
-                        if stamps[base + w] < dst_use {
-                            dst_use = stamps[base + w];
-                            dst = w;
-                        }
-                    }
-                    Some(dst)
-                })
-            }
-            SaState::Random(rng) => Some(rng.below(ways as u64) as usize),
-            SaState::Bypass => None,
-        }
-    }
-
-    /// Recency update for a line filled into `way` (free fill or after an
-    /// eviction). Free fills always land on way `filled` because ways
-    /// occupy densely from 0 (fills are sequential, evictions replace in
-    /// place, flush empties whole sets).
-    #[inline]
-    fn on_fill(&mut self, set: u64, base: usize, way: usize, was_free: bool, tick: u64) {
-        match &mut self.state {
-            SaState::AgePacked { ages } => {
-                let w = &mut ages[set as usize];
-                if was_free {
-                    debug_assert_eq!(age_filled(*w), way as u64, "dense-fill invariant");
-                    *w = if way == 0 {
-                        *w & !0xFF
-                    } else {
-                        age_promote(*w, way as u32, way as u64 - 1)
-                    };
-                } else if self.ways >= 2 {
-                    // The victim lane held age ways-1; everything else
-                    // ages by one and the lane becomes MRU.
-                    *w = age_promote(*w, way as u32, self.ways as u64 - 2);
-                }
-                // ways == 1 after eviction: the single lane is already 0.
-            }
-            SaState::AgeStamp { stamps } => stamps[base + way] = tick,
-            SaState::Plru {
-                bits,
-                padded,
-                words,
-            } => {
-                let bits = &mut bits[set as usize * *words..(set as usize + 1) * *words];
-                plru_touch(bits, *padded, way as u64);
-            }
-            SaState::Slru {
-                stamps, protected, ..
-            } => {
-                // New lines enter probation.
-                stamps[base + way] = tick;
-                protected[set as usize] &= !(1 << way);
-            }
-            SaState::Random(_) | SaState::Bypass => {}
-        }
-    }
-
-    #[inline]
-    fn access(&mut self, line_addr: u64, sector_bit: u64, tick: u64) -> Access {
-        let Some(spl) = self.pack_shift else {
-            let set = self.set_of(line_addr);
-            let base = set as usize * self.ways as usize;
-            return self.access_pairs(set, base, line_addr, sector_bit, tick);
-        };
-        debug_assert!(
-            line_addr < EMPTY_TAG >> spl,
-            "address above the packed tag range"
-        );
-        // MRU filter: engaged only under the exact-LRU packed state,
-        // where a repeat touch of the MRU way is a recency no-op. Only
-        // the `AgePacked` path below ever records `mru_line` (other
-        // policies leave it at the unmatchable `EMPTY_TAG`), and the
-        // slot's own tag is re-verified, so an eviction that recycled
-        // the remembered lane falls through to the full path.
-        if line_addr == self.mru_line {
-            // SAFETY: `mru_lane` is only ever written with `base + way`
-            // values the AgePacked path just used to index `lanes`, and
-            // the lane count never changes after construction, so the
-            // remembered index is always in bounds.
-            let slot = unsafe { self.lanes.get_unchecked_mut(self.mru_lane as usize) };
-            if *slot >> spl == line_addr {
-                let had = *slot & sector_bit != 0;
-                *slot |= sector_bit;
-                return if had { Access::Hit } else { Access::SectorMiss };
-            }
-        }
-        let set = self.set_of(line_addr);
-        let ways = self.ways as usize;
-        let base = set as usize * ways;
-        // Fused fast path for the default organisation (exact LRU at
-        // <= 8 ways): the recency update folds into the scan's exits, the
-        // dense-fill invariant (`age_filled`) replaces the free-way scan,
-        // and nothing re-dispatches on the policy state. Must mirror the
-        // `AgePacked` arms of `touch`/`victim`/`on_fill` exactly. The
-        // promote is computed unconditionally (discarded by a conditional
-        // move when the way is already MRU) and the sector OR is
-        // idempotent — the hit exit is branch-light.
-        if let SaState::AgePacked { ages } = &mut self.state {
-            // SAFETY: `set_of` returns `set < num_sets` (mask or fastmod
-            // postcondition), so `base + ways = (set + 1) * ways <=
-            // num_sets * ways`, the packed `lanes` length; `ages` holds
-            // one word per set. Bounds checks on the hot path cost real
-            // cycles here.
-            let (agew, group) = unsafe {
-                (
-                    &mut *ages.as_mut_ptr().add(set as usize),
-                    self.lanes.get_unchecked_mut(base..base + ways),
-                )
-            };
-            for (way, slot) in group.iter_mut().enumerate() {
-                if *slot >> spl == line_addr {
-                    let age = (*agew >> (way * 8)) & 0xFF;
-                    let promoted = age_promote(*agew, way as u32, age.saturating_sub(1));
-                    if age != 0 {
-                        *agew = promoted;
-                    }
-                    let had = *slot & sector_bit != 0;
-                    *slot |= sector_bit;
-                    self.mru_line = line_addr;
-                    self.mru_lane = (base + way) as u32;
-                    return if had { Access::Hit } else { Access::SectorMiss };
-                }
-            }
-            let filled = age_filled(*agew) as usize;
-            let dst = if filled < ways {
-                // Free fill: ways occupy densely from 0.
-                *agew = if filled == 0 {
-                    *agew & !0xFF
-                } else {
-                    age_promote(*agew, filled as u32, filled as u64 - 1)
-                };
-                filled
-            } else {
-                let victim = age_victim(*agew, ways as u32) as usize;
-                if ways >= 2 {
-                    *agew = age_promote(*agew, victim as u32, ways as u64 - 2);
-                }
-                victim
-            };
-            group[dst] = (line_addr << spl) | sector_bit;
-            self.mru_line = line_addr;
-            self.mru_lane = (base + dst) as u32;
-            return Access::LineMiss;
-        }
-        // Generic packed path: scan, then dispatch recency to the policy
-        // state (empty ways hold `EMPTY_TAG`, whose tag part is above
-        // every reachable address and never matches).
-        let group = &self.lanes[base..base + ways];
-        let found = group.iter().position(|&s| s >> spl == line_addr);
-        if let Some(way) = found {
-            self.touch(set, base, way, tick);
-            let slot = &mut self.lanes[base + way];
-            let had = *slot & sector_bit != 0;
-            *slot |= sector_bit;
-            if had {
-                Access::Hit
-            } else {
-                Access::SectorMiss
-            }
-        } else {
-            let free = group.iter().position(|&s| s == EMPTY_TAG);
-            let dst = match free {
-                Some(way) => way,
-                None => match self.victim(set, base) {
-                    Some(way) => way,
-                    None => return Access::LineMiss, // bypass: no allocation
-                },
-            };
-            self.lanes[base + dst] = (line_addr << spl) | sector_bit;
-            self.on_fill(set, base, dst, free.is_some(), tick);
-            Access::LineMiss
-        }
-    }
-
-    /// [`Self::access`] for the pair layout (`> 16` sectors per line —
-    /// no modeled geometry; correctness only, never the hot path).
-    fn access_pairs(
-        &mut self,
-        set: u64,
-        base: usize,
-        line_addr: u64,
-        sector_bit: u64,
-        tick: u64,
-    ) -> Access {
-        let ways = self.ways as usize;
-        let group = &self.lanes[2 * base..2 * (base + ways)];
-        let found = group.chunks_exact(2).position(|p| p[0] == line_addr);
-        if let Some(way) = found {
-            debug_assert_ne!(
-                self.lanes[2 * (base + way) + 1],
-                0,
-                "resident line has sectors"
-            );
-            self.touch(set, base, way, tick);
-            let sec = &mut self.lanes[2 * (base + way) + 1];
-            if *sec & sector_bit != 0 {
-                Access::Hit
-            } else {
-                *sec |= sector_bit;
-                Access::SectorMiss
-            }
-        } else {
-            let free = group.chunks_exact(2).position(|p| p[1] == 0);
-            let dst = match free {
-                Some(way) => way,
-                None => match self.victim(set, base) {
-                    Some(way) => way,
-                    None => return Access::LineMiss, // bypass: no allocation
-                },
-            };
-            self.lanes[2 * (base + dst)] = line_addr;
-            self.lanes[2 * (base + dst) + 1] = sector_bit;
-            self.on_fill(set, base, dst, free.is_some(), tick);
-            Access::LineMiss
-        }
-    }
-
-    fn probe(&self, line_addr: u64, sector_bit: u64) -> bool {
-        let set = self.set_of(line_addr);
-        let ways = self.ways as usize;
-        let base = set as usize * ways;
-        match self.pack_shift {
-            Some(spl) => self.lanes[base..base + ways]
-                .iter()
-                .find(|&&s| s >> spl == line_addr)
-                .map(|&s| s & sector_bit != 0)
-                .unwrap_or(false),
-            None => self.lanes[2 * base..2 * (base + ways)]
-                .chunks_exact(2)
-                .find(|p| p[0] == line_addr)
-                .map(|p| p[1] & sector_bit != 0)
-                .unwrap_or(false),
-        }
-    }
-
-    fn flush(&mut self) {
-        self.mru_line = EMPTY_TAG;
-        match self.pack_shift {
-            Some(_) => self.lanes.iter_mut().for_each(|s| *s = EMPTY_TAG),
-            None => {
-                for p in self.lanes.chunks_exact_mut(2) {
-                    p[0] = EMPTY_TAG;
-                    p[1] = 0;
-                }
-            }
-        }
-        match &mut self.state {
-            SaState::AgePacked { ages } => ages.iter_mut().for_each(|a| *a = u64::MAX),
-            SaState::AgeStamp { stamps } => stamps.iter_mut().for_each(|s| *s = 0),
-            SaState::Plru { bits, .. } => bits.iter_mut().for_each(|b| *b = 0),
-            SaState::Slru {
-                stamps, protected, ..
-            } => {
-                stamps.iter_mut().for_each(|s| *s = 0);
-                protected.iter_mut().for_each(|p| *p = 0);
-            }
-            // The random victim stream deliberately survives a flush: a
-            // flush invalidates contents, it does not reseed the device.
-            SaState::Random(_) | SaState::Bypass => {}
-        }
-    }
 }
 
 // --- fully-associative non-LRU engines ---
@@ -1291,7 +736,6 @@ impl FaPolicyStore {
             self.slots.push(FaSlot {
                 tag: line_addr,
                 valid_sectors: sector_bit,
-                last_use: 0,
                 prev: NIL,
                 next: NIL,
             });
@@ -1377,13 +821,13 @@ impl FaPolicyStore {
 
 #[derive(Debug)]
 enum Organization {
-    SetAssociative(SetAssoc),
+    SetAssociative(PolicyReferenceCache),
     FullyAssociative(FlatLru),
     FullyAssociativePolicy(FaPolicyStore),
 }
 
 /// A sectored cache with a pluggable replacement policy (see module docs
-/// for the organisations and the flat tag store backing them).
+/// for the organisations and the storage behind them).
 #[derive(Debug)]
 pub struct SectoredCache {
     line_size: u64,
@@ -1396,26 +840,19 @@ pub struct SectoredCache {
     split: Option<(u32, u64, u32)>,
     policy: ReplacementPolicy,
     org: Organization,
-    tick: u64,
     hits: u64,
     misses: u64,
 }
 
 impl SectoredCache {
-    /// Builds a cache from a [`CacheSpec`]. A spec associativity of
-    /// [`FULLY_ASSOCIATIVE`] — or any value at/above the line count —
-    /// selects the fully-associative organisation.
-    pub fn from_spec(spec: &CacheSpec) -> Self {
-        Self::from_spec_with_policy(spec, ReplacementPolicy::Lru)
-    }
-
-    /// [`Self::from_spec`] with an explicit replacement policy.
+    /// Builds a fully-associative cache of a [`CacheSpec`]'s geometry
+    /// (every modeled level is fully associative) running `policy`.
     pub fn from_spec_with_policy(spec: &CacheSpec, policy: ReplacementPolicy) -> Self {
         Self::new_with_policy(
             spec.size,
             spec.line_size as u64,
             spec.fetch_granularity as u64,
-            spec.associativity,
+            FULLY_ASSOCIATIVE,
             policy,
         )
     }
@@ -1459,14 +896,11 @@ impl SectoredCache {
                 _ => Organization::FullyAssociativePolicy(FaPolicyStore::new(total_lines, policy)),
             }
         } else {
-            let mut ways = ways.max(1) as u64;
-            while !total_lines.is_multiple_of(ways) {
-                ways -= 1;
-            }
-            Organization::SetAssociative(SetAssoc::new(
-                total_lines,
-                ways as u32,
-                sectors_per_line,
+            Organization::SetAssociative(PolicyReferenceCache::new(
+                size,
+                line_size,
+                sector_size,
+                ways,
                 policy,
             ))
         };
@@ -1484,7 +918,6 @@ impl SectoredCache {
             split,
             policy,
             org,
-            tick: 0,
             hits: 0,
             misses: 0,
         }
@@ -1513,7 +946,7 @@ impl SectoredCache {
     /// Capacity in bytes.
     pub fn capacity(&self) -> u64 {
         match &self.org {
-            Organization::SetAssociative(sa) => sa.num_sets * sa.ways as u64 * self.line_size,
+            Organization::SetAssociative(sa) => sa.num_sets() * sa.ways() as u64 * self.line_size,
             Organization::FullyAssociative(fa) => fa.capacity_lines * self.line_size,
             Organization::FullyAssociativePolicy(fa) => fa.capacity_lines * self.line_size,
         }
@@ -1522,7 +955,7 @@ impl SectoredCache {
     /// Effective associativity (the line count when fully associative).
     pub fn ways(&self) -> u32 {
         match &self.org {
-            Organization::SetAssociative(sa) => sa.ways,
+            Organization::SetAssociative(sa) => sa.ways(),
             Organization::FullyAssociative(fa) => fa.capacity_lines.min(u32::MAX as u64) as u32,
             Organization::FullyAssociativePolicy(fa) => {
                 fa.capacity_lines.min(u32::MAX as u64) as u32
@@ -1533,7 +966,7 @@ impl SectoredCache {
     /// Number of sets (1 when fully associative).
     pub fn num_sets(&self) -> u64 {
         match &self.org {
-            Organization::SetAssociative(sa) => sa.num_sets,
+            Organization::SetAssociative(sa) => sa.num_sets(),
             Organization::FullyAssociative(_) | Organization::FullyAssociativePolicy(_) => 1,
         }
     }
@@ -1568,13 +1001,10 @@ impl SectoredCache {
     /// already-present line.
     #[inline]
     pub fn access(&mut self, addr: u64) -> Access {
-        self.tick += 1;
-        let tick = self.tick;
         let (line_addr, sector_bit) = self.split_addr(addr);
-
         let result = match &mut self.org {
-            Organization::SetAssociative(sa) => sa.access(line_addr, sector_bit, tick),
-            Organization::FullyAssociative(fa) => fa.access(line_addr, sector_bit, tick),
+            Organization::SetAssociative(sa) => sa.access_line(line_addr, sector_bit),
+            Organization::FullyAssociative(fa) => fa.access(line_addr, sector_bit),
             Organization::FullyAssociativePolicy(fa) => fa.access(line_addr, sector_bit),
         };
         let hit = result.is_hit() as u64;
@@ -1588,7 +1018,7 @@ impl SectoredCache {
     pub fn probe(&self, addr: u64) -> bool {
         let (line_addr, sector_bit) = self.split_addr(addr);
         match &self.org {
-            Organization::SetAssociative(sa) => sa.probe(line_addr, sector_bit),
+            Organization::SetAssociative(sa) => sa.probe_line(line_addr, sector_bit),
             Organization::FullyAssociative(fa) => fa
                 .find(line_addr)
                 .map(|slot| fa.slots[slot as usize].valid_sectors & sector_bit != 0)
@@ -1650,7 +1080,7 @@ mod tests {
 
     #[test]
     fn non_power_of_two_set_count_still_maps_all_lines() {
-        // 6 lines, 2 ways -> 3 sets: the multiply-high (non-bitmask) path.
+        // 6 lines, 2 ways -> 3 sets: a set count that is no bitmask.
         let mut c = SectoredCache::new(384, 64, 64, 2);
         assert_eq!(c.num_sets(), 3);
         for i in 0..6u64 {
@@ -1730,6 +1160,19 @@ mod tests {
         let (hits, misses) = c.stats();
         assert!(hits > 0, "non-overflowing sets should hit");
         assert!(misses > 0, "the overflowing set should thrash");
+
+        // `fig1`'s exact per-index patterns: a 2-way, 8-line cache (4
+        // sets) chased over 8, 9 and 10 lines after one warm-up lap.
+        for (lines, want) in [(8u64, "hhhhhhhh"), (9, "MhhhMhhhM"), (10, "MMhhMMhhMM")] {
+            let mut c = SectoredCache::new(512, 64, 64, 2);
+            for i in 0..lines {
+                c.access(i * 64);
+            }
+            let got: String = (0..lines)
+                .map(|i| if c.access(i * 64).is_hit() { 'h' } else { 'M' })
+                .collect();
+            assert_eq!(got, want, "{lines}-line chase");
+        }
     }
 
     #[test]
@@ -1853,63 +1296,6 @@ mod tests {
         SectoredCache::new(1000, 64, 32, 4);
     }
 
-    // --- packed-recency building blocks ---
-
-    #[test]
-    fn age_word_tracks_an_lru_permutation() {
-        // Fill a 4-way set: each fill promotes the occupied lanes.
-        let mut ages = u64::MAX;
-        assert_eq!(age_filled(ages), 0);
-        ages &= !0xFF; // fill lane 0
-        ages = age_promote(ages, 1, 0); // fill lane 1
-        ages = age_promote(ages, 2, 1); // fill lane 2
-        ages = age_promote(ages, 3, 2); // fill lane 3
-        assert_eq!(age_filled(ages), 4);
-        // Ages now: lane0=3 lane1=2 lane2=1 lane3=0 -> victim is lane 0.
-        assert_eq!(age_victim(ages, 4), 0);
-        // Touch lane 0 (age 3): promotes lanes <= 2, lane 0 -> MRU.
-        ages = age_promote(ages, 0, 2);
-        assert_eq!(age_victim(ages, 4), 1, "lane 1 is now the oldest");
-        // Upper lanes stay empty padding throughout.
-        assert_eq!(ages & 0xFFFF_FFFF_0000_0000, 0xFFFF_FFFF_0000_0000);
-    }
-
-    #[test]
-    fn age_victim_handles_every_full_permutation_of_8() {
-        // Exhaustively rotate a full 8-way word and check the detect.
-        let base: [u64; 8] = [3, 7, 0, 5, 1, 6, 2, 4];
-        for rot in 0..8usize {
-            let mut ages = 0u64;
-            let mut expect = 0;
-            for (lane, &a) in base.iter().enumerate() {
-                let a = (a + rot as u64) % 8;
-                ages |= a << (lane * 8);
-                if a == 7 {
-                    expect = lane as u32;
-                }
-            }
-            assert_eq!(age_victim(ages, 8), expect, "rotation {rot}");
-        }
-    }
-
-    #[test]
-    fn multiply_high_reduction_matches_modulo() {
-        // 476 sets is the bench geometry (238 KiB / 128 B / 4 ways); also
-        // sweep other awkward divisors and huge line addresses.
-        for d in [3u64, 5, 7, 31, 476, 12_345, (1 << 40) - 1, u64::MAX - 1] {
-            let magic = u64::MAX / d;
-            for line in [0u64, 1, d - 1, d, d + 1, 1 << 30, u64::MAX / 7, u64::MAX] {
-                assert_eq!(fastmod(line, magic, d), line % d, "{line} mod {d}");
-            }
-        }
-        // And through a real cache: 6 lines / 2 ways -> 3 sets.
-        let sa = SetAssoc::new(6, 2, 1, ReplacementPolicy::Lru);
-        assert_eq!(sa.num_sets, 3);
-        for line in 0..100u64 {
-            assert_eq!(sa.set_of(line), line % 3);
-        }
-    }
-
     #[test]
     fn policy_is_recorded_and_defaults_to_lru() {
         assert_eq!(fa_cache().policy(), ReplacementPolicy::Lru);
@@ -1918,7 +1304,7 @@ mod tests {
     }
 
     #[test]
-    fn lru_stamp_fallback_above_eight_ways_is_still_exact_lru() {
+    fn sixteen_way_set_is_exact_lru() {
         // 16 ways, one set: behaves exactly like the FA LRU cache.
         let mut sa = SectoredCache::new(2048, 64, 64, 16);
         let mut fa = SectoredCache::new(1024, 64, 64, FULLY_ASSOCIATIVE);

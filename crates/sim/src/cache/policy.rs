@@ -31,9 +31,10 @@
 //!   lines bypass the cache entirely and resident lines are never
 //!   evicted until a flush.
 //!
-//! The packed engines in [`super`] and the naive per-policy oracles in
-//! [`super::reference`] implement the *same* spec; the per-policy
-//! differential proptests in `crates/sim/tests/prop.rs` prove them
+//! The fully-associative engines in [`super`] and the naive per-set model
+//! in [`super::reference`] (which is also the set-associative
+//! organisation) implement the *same* spec; the per-policy differential
+//! proptests in `crates/sim/tests/prop.rs` prove them
 //! hit/miss/eviction-for-eviction equivalent.
 
 use serde::{Deserialize, Serialize};

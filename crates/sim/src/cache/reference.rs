@@ -1,13 +1,19 @@
-//! The original `Vec<Vec<Line>>` / map+`BTreeMap` sectored-cache
-//! implementation, retained verbatim as a differential-testing oracle.
+//! The naive sectored-cache models: two differential-testing oracles,
+//! one of which is also the set-associative organisation.
 //!
-//! The flat tag store in [`super`] must produce *bit-identical* behaviour
-//! — the same [`Access`] sequence, hit/miss counters and residency for any
-//! access stream — because every measured value of the simulator flows
-//! through it. The property test `flat_store_matches_reference` in
-//! `crates/sim/tests/prop.rs` drives both implementations with random
-//! streams and asserts equivalence; keep this module in sync with nothing:
-//! it is frozen on purpose.
+//! * [`ReferenceSectoredCache`] is the original `Vec<Vec<Line>>` /
+//!   `BTreeMap` true-LRU implementation, retained verbatim. The cache in
+//!   [`super`] must produce *bit-identical* behaviour — the same
+//!   [`Access`] sequence, hit/miss counters and residency for any access
+//!   stream — because every measured value of the simulator flows
+//!   through it. The property test `flat_store_matches_reference` in
+//!   `crates/sim/tests/prop.rs` drives both with random streams and
+//!   asserts equivalence; keep this one in sync with nothing: it is
+//!   frozen on purpose.
+//! * [`PolicyReferenceCache`] is the per-policy, per-set model: the
+//!   oracle the fully-associative policy engines are tested against, the
+//!   predictor the policy-discovery unit replays, and the storage of
+//!   every set-associative [`super::SectoredCache`].
 
 use std::collections::BTreeMap;
 
@@ -252,7 +258,8 @@ struct PolLine {
 }
 
 /// Naive per-policy sectored cache: the differential oracle for every
-/// [`ReplacementPolicy`] engine in [`super`].
+/// fully-associative [`ReplacementPolicy`] engine in [`super`], and the
+/// set-associative organisation itself.
 ///
 /// One deliberately simple representation covers both organisations — a
 /// fully-associative cache is a single set whose way count equals the
@@ -365,6 +372,16 @@ impl PolicyReferenceCache {
         (self.hits, self.misses)
     }
 
+    /// Number of sets (1 when fully associative).
+    pub fn num_sets(&self) -> u64 {
+        self.num_sets
+    }
+
+    /// Ways per set (after shrinking to a divisor of the line count).
+    pub fn ways(&self) -> u32 {
+        self.ways as u32
+    }
+
     /// Invalidates all contents and recency state (and keeps the
     /// counters). The random victim stream survives, as in the engine.
     pub fn flush(&mut self) {
@@ -444,13 +461,24 @@ impl PolicyReferenceCache {
 
     /// Performs an access at byte address `addr`, allocating on miss.
     pub fn access(&mut self, addr: u64) -> Access {
-        self.tick += 1;
-        let tick = self.tick;
         let line_addr = addr / self.line_size;
         let sector_bit = 1u64 << ((addr % self.line_size) / self.sector_size);
-        let set = (line_addr % self.num_sets) as usize;
+        let result = self.access_line(line_addr, sector_bit);
+        if result.is_hit() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        result
+    }
 
-        let result = if let Some(way) = self.sets[set].iter().position(|l| l.tag == line_addr) {
+    /// [`Self::access`] on a pre-split address: the line address and the
+    /// one-hot bit of the sector within it. Leaves the counters alone.
+    pub fn access_line(&mut self, line_addr: u64, sector_bit: u64) -> Access {
+        self.tick += 1;
+        let tick = self.tick;
+        let set = (line_addr % self.num_sets) as usize;
+        if let Some(way) = self.sets[set].iter().position(|l| l.tag == line_addr) {
             self.touch(set, way, tick);
             let line = &mut self.sets[set][way];
             if line.valid_sectors & sector_bit != 0 {
@@ -480,13 +508,7 @@ impl PolicyReferenceCache {
                     Access::LineMiss
                 }
             }
-        };
-        if result.is_hit() {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
         }
-        result
     }
 
     /// Peeks whether `addr`'s sector is resident without touching recency
@@ -494,6 +516,11 @@ impl PolicyReferenceCache {
     pub fn probe(&self, addr: u64) -> bool {
         let line_addr = addr / self.line_size;
         let sector_bit = 1u64 << ((addr % self.line_size) / self.sector_size);
+        self.probe_line(line_addr, sector_bit)
+    }
+
+    /// [`Self::probe`] on a pre-split address (see [`Self::access_line`]).
+    pub fn probe_line(&self, line_addr: u64, sector_bit: u64) -> bool {
         let set = (line_addr % self.num_sets) as usize;
         self.sets[set]
             .iter()

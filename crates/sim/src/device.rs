@@ -187,7 +187,8 @@ impl LoadFlags {
     };
 }
 
-/// Geometry and timing of one cache level (ground truth).
+/// Geometry and timing of one cache level (ground truth). Every level is
+/// simulated fully associative.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CacheSpec {
     /// Capacity in bytes of one cache instance (one segment for L2).
@@ -196,9 +197,6 @@ pub struct CacheSpec {
     pub line_size: u32,
     /// Fetch granularity (sector size) in bytes; divides `line_size`.
     pub fetch_granularity: u32,
-    /// Set associativity (ways). The constructor will shrink this to the
-    /// largest divisor of the line count if needed.
-    pub associativity: u32,
     /// End-to-end load latency (cycles) when a load *hits* this level.
     pub load_latency: u32,
     /// Number of independent instances per SM/CU (`None` = one per GPU,
@@ -444,7 +442,6 @@ mod tests {
             size: kib(16),
             line_size: 64,
             fetch_granularity: 32,
-            associativity: 4,
             load_latency: 100,
             amount_per_sm: Some(1),
             segments: 1,

@@ -22,7 +22,6 @@ fn vl1(size: u64, lat: u32) -> CacheSpec {
         size,
         line_size: 64,
         fetch_granularity: 64,
-        associativity: crate::cache::FULLY_ASSOCIATIVE,
         load_latency: lat,
         amount_per_sm: Some(1),
         segments: 1,
@@ -36,7 +35,6 @@ fn sl1d(size: u64, lat: u32) -> CacheSpec {
         size,
         line_size: 64,
         fetch_granularity: 64,
-        associativity: crate::cache::FULLY_ASSOCIATIVE,
         load_latency: lat,
         amount_per_sm: None,
         segments: 1,
@@ -50,7 +48,6 @@ fn amd_l2(seg_size: u64, segments: u32, lat: u32, read_bw: f64, write_bw: f64) -
         size: seg_size,
         line_size: 128,
         fetch_granularity: 64,
-        associativity: crate::cache::FULLY_ASSOCIATIVE,
         load_latency: lat,
         amount_per_sm: None,
         segments,
@@ -221,7 +218,6 @@ pub fn mi300x() -> Gpu {
                     size: mib(256),
                     line_size: 128,
                     fetch_granularity: 128,
-                    associativity: crate::cache::FULLY_ASSOCIATIVE,
                     load_latency: 480,
                     amount_per_sm: None,
                     segments: 1,
@@ -285,7 +281,6 @@ fn rdna(
         size: kib(32),
         line_size: 128,
         fetch_granularity: 64,
-        associativity: crate::cache::FULLY_ASSOCIATIVE,
         load_latency: l0_lat,
         amount_per_sm: Some(1),
         segments: 1,
@@ -296,7 +291,6 @@ fn rdna(
         size: mib(mall_mib),
         line_size: 128,
         fetch_granularity: 128,
-        associativity: crate::cache::FULLY_ASSOCIATIVE,
         load_latency: mall_lat,
         amount_per_sm: None,
         segments: 1,

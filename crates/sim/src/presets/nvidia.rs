@@ -36,7 +36,6 @@ fn nvidia_caches(
         size: l1_size,
         line_size: l1_line,
         fetch_granularity: l1_fg,
-        associativity: crate::cache::FULLY_ASSOCIATIVE,
         load_latency: l1_lat,
         amount_per_sm: Some(1),
         segments: 1,
@@ -65,7 +64,6 @@ fn nvidia_caches(
                 size: kib(2),
                 line_size: 64,
                 fetch_granularity: 64,
-                associativity: crate::cache::FULLY_ASSOCIATIVE,
                 load_latency: cl1_lat,
                 amount_per_sm: Some(1),
                 segments: 1,
@@ -79,7 +77,6 @@ fn nvidia_caches(
                 size: cl15_size,
                 line_size: 256,
                 fetch_granularity: 64,
-                associativity: crate::cache::FULLY_ASSOCIATIVE,
                 load_latency: cl15_lat,
                 amount_per_sm: None,
                 segments: 1,
@@ -93,7 +90,6 @@ fn nvidia_caches(
                 size: l2_seg_size,
                 line_size: l2_line,
                 fetch_granularity: l2_fg,
-                associativity: crate::cache::FULLY_ASSOCIATIVE,
                 load_latency: l2_lat,
                 amount_per_sm: None,
                 segments: l2_segments,

@@ -2,14 +2,14 @@
 //!
 //! Each test drives a tiny 4-way cache through a hand-computed probe
 //! sequence and asserts the *exact* victim at every eviction, so a
-//! regression in the packed recency state (SWAR age words, PLRU node
-//! bits, SLRU segment lists) fails with a readable "line X should have
-//! been evicted" diff instead of a downstream fingerprint flake.
+//! regression in the recency state (LRU list, PLRU node bits, SLRU
+//! segment lists) fails with a readable "line X should have been
+//! evicted" diff instead of a downstream fingerprint flake.
 //!
 //! Every scenario runs twice: once against the fully-associative engine
 //! (4-line cache — `FlatLru` or `FaPolicyStore`) and once against the
-//! set-associative engine (8 lines, 2 sets × 4 ways, driving only even
-//! line addresses so everything lands in set 0). Within a set the
+//! set-associative per-set model (8 lines, 2 sets × 4 ways, driving only
+//! even line addresses so everything lands in set 0). Within a set the
 //! policies behave identically, so the golden orders are shared.
 
 use mt4g_sim::cache::policy::Xorshift64;

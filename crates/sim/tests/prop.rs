@@ -19,6 +19,15 @@ fn geometry() -> impl Strategy<Value = (u64, u64, u64)> {
     })
 }
 
+/// Strategy: a geometry whose line size is not a power of two, so the
+/// cache splits addresses by division instead of shift and mask.
+fn odd_geometry() -> impl Strategy<Value = (u64, u64, u64)> {
+    (0usize..3, 4u64..64).prop_map(|(pick, lines)| {
+        let (line, sector) = [(96u64, 32u64), (96, 48), (80, 16)][pick];
+        (lines * line, line, sector)
+    })
+}
+
 /// Strategy: a stream aimed at the fully-associative index's two-level
 /// layout, as (line index, byte offset into the line, realign) triples.
 /// Dense runs straddle the index's 64-line page boundaries. Sparse single
@@ -66,9 +75,9 @@ fn checked_lines(addrs: &[(u64, u8)], line: u64) -> Vec<u64> {
     lines
 }
 
-/// Drives the flat tag store and the frozen historical implementation
-/// with the same stream: same `Access` on every step, same hit/miss
-/// counters, same residency after flushes.
+/// Drives the cache and the frozen historical implementation with the
+/// same stream: same `Access` on every step, same hit/miss counters,
+/// same residency after flushes.
 fn assert_flat_store_matches_reference(
     (size, line, sector): (u64, u64, u64),
     ways_sel: u32,
@@ -180,15 +189,17 @@ proptest! {
         }
     }
 
-    /// Differential oracle: the flat tag store must reproduce the original
+    /// Differential oracle: the cache must reproduce the original
     /// `Vec<Vec<Line>>` / `HashMap`+`BTreeMap` implementation *exactly* —
     /// same `Access` on every step, same hit/miss counters, same residency
-    /// after flushes — across both organisations, random geometries and
-    /// access streams that mix hits, sector misses, evictions and flushes;
-    /// plus, fully associative, a paged stream that recycles index pages.
+    /// after flushes — across both organisations, random geometries (one
+    /// of them with a non-power-of-two line) and access streams that mix
+    /// hits, sector misses, evictions and flushes; plus, fully
+    /// associative, a paged stream that recycles index pages.
     #[test]
     fn flat_store_matches_reference(
         geo in geometry(),
+        odd in odd_geometry(),
         ways_raw in 0u32..8,
         // Bias addresses so streams revisit lines (hits + LRU churn) but
         // also overflow the capacity (evictions).
@@ -199,6 +210,7 @@ proptest! {
         // 0 selects the fully-associative organisation, 1..8 real way counts.
         let ways_sel = if ways_raw == 0 { FULLY_ASSOCIATIVE } else { ways_raw };
         assert_flat_store_matches_reference(geo, ways_sel, &addrs, flush_every)?;
+        assert_flat_store_matches_reference(odd, ways_sel, &addrs, flush_every)?;
         let paged = paged_addrs(&paged, geo.1);
         assert_flat_store_matches_reference(geo, FULLY_ASSOCIATIVE, &paged, flush_every)?;
     }
@@ -230,7 +242,7 @@ proptest! {
 use mt4g_sim::cache::reference::PolicyReferenceCache;
 use mt4g_sim::cache::ReplacementPolicy;
 
-/// Drives the packed engine and the naive per-policy oracle with the same
+/// Drives the cache and the naive per-policy oracle with the same
 /// stream and asserts hit/miss/eviction-for-eviction equivalence: the
 /// `Access` class of every step, probe results, counters, and the final
 /// line-for-line residency (which pins the *eviction choices*, not just
@@ -277,9 +289,11 @@ fn assert_policy_engine_matches_oracle(
     Ok(())
 }
 
-/// One drawn policy-proptest case: geometry, ways selector, access
-/// stream, flush point, and a [`paged_stream`].
+/// One drawn policy-proptest case: geometry, non-power-of-two-line
+/// geometry, ways selector, access stream, flush point, and a
+/// [`paged_stream`].
 type PolicyCase = (
+    (u64, u64, u64),
     (u64, u64, u64),
     u32,
     Vec<(u64, u8)>,
@@ -292,6 +306,7 @@ type PolicyCase = (
 fn policy_stream() -> impl Strategy<Value = PolicyCase> {
     (
         geometry(),
+        odd_geometry(),
         0u32..8,
         proptest::collection::vec((0u64..1 << 14, 0u8..2), 1..600),
         50usize..200,
@@ -299,21 +314,23 @@ fn policy_stream() -> impl Strategy<Value = PolicyCase> {
     )
 }
 
-/// Runs one policy case: its stream under the drawn organisation, then
-/// its paged stream fully associative.
+/// Runs one policy case: its stream under the drawn organisation in both
+/// geometries, then its paged stream fully associative.
 fn assert_policy_case(
     policy: ReplacementPolicy,
-    (geo, ways, addrs, flush_every, paged): PolicyCase,
+    (geo, odd, ways, addrs, flush_every, paged): PolicyCase,
 ) -> Result<(), TestCaseError> {
     assert_policy_engine_matches_oracle(policy, geo, ways, &addrs, flush_every)?;
+    assert_policy_engine_matches_oracle(policy, odd, ways, &addrs, flush_every)?;
     let paged = paged_addrs(&paged, geo.1);
     assert_policy_engine_matches_oracle(policy, geo, 0, &paged, flush_every)
 }
 
 proptest! {
-    /// Exact LRU: the packed age engine (and timestamp fallback) is
-    /// behaviour-identical to the naive oracle — and through
-    /// `lru_arm_matches_the_frozen_oracle`, to the historical engine.
+    /// Exact LRU: `FlatLru` is behaviour-identical to the naive oracle —
+    /// and through `lru_arm_matches_the_frozen_oracle`, to the historical
+    /// engine. Set-associative draws run the oracle's own per-set model,
+    /// so they pin the cache's address split and counters.
     #[test]
     fn packed_lru_matches_oracle(case in policy_stream()) {
         assert_policy_case(ReplacementPolicy::Lru, case)?;
