@@ -1,48 +1,24 @@
-//! Gates a `BENCH_*.json` snapshot against the committed baseline and
-//! exits non-zero on regression — the check that turns the bench CI job
-//! from an artifact upload into a real gate.
+//! Gates a `BENCH_*.json` snapshot against the checked-in baseline table
+//! and exits non-zero on regression — the check that turns the bench CI
+//! job from an artifact upload into a real gate.
 //!
 //! ```text
-//! cargo run --release -p mt4g_bench --bin bench_gate -- \
-//!     <current.json> <baseline.json> \
-//!     [--max-regress 0.15] \
-//!     [--metric <path>[:higher|lower]]... \
-//!     [--floor <path>=<min>]... \
-//!     [--require-true <path>]... \
-//!     [--require-zero <path>]...
-//!
 //! cargo run --release -p mt4g_bench --bin bench_gate -- \
 //!     --table <current.json> <BENCH_baseline.json>
 //! ```
 //!
-//! `--table` is the ratchet mode: instead of spelling every check on the
-//! command line, it reads the checked-in baseline table
-//! (`BENCH_baseline.json` at the workspace root), which holds one
-//! `best_ns_per_element` entry per hot-path workload — the best number
-//! ever recorded across the committed `BENCH_pr<N>.json` snapshots — plus
-//! a `floors` section of exact-value minimums (e.g. the policy
-//! fingerprint accuracy). Every workload in the table must be present in
-//! the current snapshot and within `max_regress` of its best-known time.
-//! Workload names are looked up as literal keys (they contain `.` and
-//! `/`), not dot-paths. Improving a number means tightening the table in
-//! the same PR; the gate never loosens itself.
-//!
-//! Check kinds, chosen so the gate only trips on *real* regressions:
-//!
-//! * `--metric` compares a named headline metric against the baseline
-//!   snapshot and fails when it regresses by more than `--max-regress`
-//!   (default 15%). `:higher` (default) means bigger is better,
-//!   `:lower` means smaller is better. Use this only for metrics that
-//!   are deterministic or dimensionless (hit rates, speedup ratios) —
-//!   absolute nanoseconds vary across runners and would flake.
-//! * `--floor` enforces an absolute minimum, independent of baseline
-//!   (e.g. a cache hit must beat a recompute by at least 100x).
-//! * `--require-true` / `--require-zero` enforce boolean and counter
-//!   invariants (byte identity held, no errors, no rejections).
-//!
-//! Paths are dot-separated (`hits.mean_us`). A path missing from either
+//! The table (`BENCH_baseline.json` at the workspace root) is a ratchet:
+//! it holds one `best_ns_per_element` entry per hot-path workload — the
+//! best number ever recorded across the committed `BENCH_pr<N>.json`
+//! snapshots — plus a `floors` section of exact-value minimums (e.g. the
+//! policy fingerprint accuracy). Every workload in the table must be
+//! present in the current snapshot and within `max_regress` of its
+//! best-known time. Workload names are looked up as literal keys (they
+//! contain `.` and `/`); floor paths are dot-separated
+//! (`policy_fingerprint.accuracy`). A name or path missing from the
 //! snapshot is itself a failure: a gate that silently skips checks is a
-//! gate in name only.
+//! gate in name only. Improving a number means tightening the table in
+//! the same PR; the gate never loosens itself.
 
 use std::process::exit;
 
@@ -66,107 +42,9 @@ fn as_f64(v: &JsonValue) -> Option<f64> {
     }
 }
 
-struct Gate {
-    current: JsonValue,
-    baseline: JsonValue,
-    max_regress: f64,
-    failures: Vec<String>,
-    passed: u32,
-}
-
-impl Gate {
-    fn number(&mut self, which: &str, root_is_current: bool, path: &str) -> Option<f64> {
-        let root = if root_is_current {
-            &self.current
-        } else {
-            &self.baseline
-        };
-        match lookup(root, path).and_then(as_f64) {
-            Some(n) => Some(n),
-            None => {
-                self.failures.push(format!(
-                    "{path}: missing or non-numeric in {which} snapshot"
-                ));
-                None
-            }
-        }
-    }
-
-    fn metric(&mut self, path: &str, higher_is_better: bool) {
-        let (Some(cur), Some(base)) = (
-            self.number("current", true, path),
-            self.number("baseline", false, path),
-        ) else {
-            return;
-        };
-        // Regression fraction relative to the baseline, oriented so
-        // positive means "worse".
-        let regress = if higher_is_better {
-            (base - cur) / base
-        } else {
-            (cur - base) / base
-        };
-        if base != 0.0 && regress > self.max_regress {
-            self.failures.push(format!(
-                "{path}: {cur} regressed {:.1}% vs baseline {base} (limit {:.0}%)",
-                regress * 100.0,
-                self.max_regress * 100.0
-            ));
-        } else {
-            self.passed += 1;
-        }
-    }
-
-    fn floor(&mut self, path: &str, min: f64) {
-        let Some(cur) = self.number("current", true, path) else {
-            return;
-        };
-        if cur < min {
-            self.failures
-                .push(format!("{path}: {cur} is below the floor {min}"));
-        } else {
-            self.passed += 1;
-        }
-    }
-
-    fn require_true(&mut self, path: &str) {
-        match lookup(&self.current, path) {
-            Some(JsonValue::Bool(true)) => self.passed += 1,
-            Some(v) => self
-                .failures
-                .push(format!("{path}: expected true, found {}", v.kind())),
-            None => self
-                .failures
-                .push(format!("{path}: missing from current snapshot")),
-        }
-    }
-
-    fn require_zero(&mut self, path: &str) {
-        let Some(cur) = self.number("current", true, path) else {
-            return;
-        };
-        if cur != 0.0 {
-            self.failures
-                .push(format!("{path}: expected 0, found {cur}"));
-        } else {
-            self.passed += 1;
-        }
-    }
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: bench_gate <current.json> <baseline.json> [--max-regress F] \
-         [--metric path[:higher|lower]]... [--floor path=min]... \
-         [--require-true path]... [--require-zero path]...\n\
-         \x20      bench_gate --table <current.json> <BENCH_baseline.json>"
-    );
-    exit(2);
-}
-
-/// Ratchet mode: every workload of the checked-in baseline table must be
-/// present in the current snapshot and within `max_regress` of its
-/// best-known ns/element; every `floors` entry must hold exactly.
+/// Every workload of the checked-in baseline table must be present in the
+/// current snapshot and within `max_regress` of its best-known
+/// ns/element; every `floors` entry must hold exactly.
 fn run_table(current_path: &str, table_path: &str) -> ! {
     let current = read_snapshot(current_path);
     let table = read_snapshot(table_path);
@@ -260,93 +138,11 @@ fn read_snapshot(path: &str) -> JsonValue {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().is_some_and(|a| a == "--table") {
-        if argv.len() != 3 {
-            usage();
-        }
-        run_table(&argv[1], &argv[2]);
-    }
-    if argv.len() < 2 {
-        usage();
-    }
-    let mut gate = Gate {
-        current: read_snapshot(&argv[0]),
-        baseline: read_snapshot(&argv[1]),
-        max_regress: 0.15,
-        failures: Vec::new(),
-        passed: 0,
-    };
-
-    // Two passes so --max-regress applies no matter where it appears.
-    let mut checks: Vec<(String, String)> = Vec::new();
-    let mut it = argv[2..].iter();
-    while let Some(flag) = it.next() {
-        let value = it.next().unwrap_or_else(|| {
-            eprintln!("bench_gate: {flag} needs a value");
+    match argv.as_slice() {
+        [flag, current, table] if flag == "--table" => run_table(current, table),
+        _ => {
+            eprintln!("usage: bench_gate --table <current.json> <BENCH_baseline.json>");
             exit(2);
-        });
-        match flag.as_str() {
-            "--max-regress" => {
-                gate.max_regress = value.parse().unwrap_or_else(|_| {
-                    eprintln!("bench_gate: bad --max-regress '{value}'");
-                    exit(2);
-                })
-            }
-            "--metric" | "--floor" | "--require-true" | "--require-zero" => {
-                checks.push((flag.clone(), value.clone()))
-            }
-            _ => usage(),
         }
-    }
-    if checks.is_empty() {
-        eprintln!("bench_gate: no checks requested");
-        exit(2);
-    }
-
-    for (flag, value) in &checks {
-        match flag.as_str() {
-            "--metric" => {
-                let (path, dir) = value.split_once(':').unwrap_or((value, "higher"));
-                match dir {
-                    "higher" => gate.metric(path, true),
-                    "lower" => gate.metric(path, false),
-                    _ => {
-                        eprintln!("bench_gate: bad direction '{dir}' (higher|lower)");
-                        exit(2);
-                    }
-                }
-            }
-            "--floor" => {
-                let Some((path, min)) = value.split_once('=') else {
-                    eprintln!("bench_gate: --floor wants path=min, got '{value}'");
-                    exit(2);
-                };
-                let min: f64 = min.parse().unwrap_or_else(|_| {
-                    eprintln!("bench_gate: bad floor value '{min}'");
-                    exit(2);
-                });
-                gate.floor(path, min);
-            }
-            "--require-true" => gate.require_true(value),
-            "--require-zero" => gate.require_zero(value),
-            _ => unreachable!(),
-        }
-    }
-
-    if gate.failures.is_empty() {
-        println!(
-            "bench_gate: {} check(s) passed against {}",
-            gate.passed, argv[1]
-        );
-    } else {
-        for f in &gate.failures {
-            eprintln!("bench_gate: FAIL {f}");
-        }
-        eprintln!(
-            "bench_gate: {} of {} check(s) failed",
-            gate.failures.len(),
-            gate.failures.len() + gate.passed as usize
-        );
-        exit(1);
     }
 }

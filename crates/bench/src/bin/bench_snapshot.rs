@@ -1,18 +1,21 @@
-//! Quick-mode wall-clock snapshot of the `cache_sim` and `pchase_sim`
-//! workloads, written as JSON so CI can record the perf trajectory
-//! (`BENCH_pr<N>.json` at the workspace root) without parsing Criterion
-//! output.
+//! Quick-mode wall-clock snapshot of the simulator's hot paths, written
+//! as JSON so CI can record the perf trajectory (`BENCH_pr<N>.json` at
+//! the workspace root).
 //!
 //! ```text
 //! cargo run --release -p mt4g_bench --bin bench_snapshot [out.json [baseline.json]]
 //! ```
 //!
-//! Each entry reports nanoseconds per element (cache access / chased
-//! load), the best of a few repetitions of the exact loops the Criterion
-//! benches time. When a `baseline.json` written by an earlier run is
-//! given, each entry also records the baseline and the speedup factor.
-//! This is a *snapshot*, not a statistical benchmark: the CI job that
-//! runs it must fail on build errors only, never on regressions.
+//! Each hot-path entry reports nanoseconds per element (cache access,
+//! chased load, serve-cache lookup or key derivation), the best of a few
+//! repetitions. The `suite_wallclock/*` entries are milliseconds of a
+//! fast discovery, and `policy_fingerprint` is the replacement-policy
+//! classifier's accuracy, which is deterministic. When a `baseline.json`
+//! written by an earlier run is given, each entry also records the
+//! baseline and the speedup factor. CI gates the snapshot with
+//! `bench_gate --table` against `BENCH_baseline.json`: a hot-path entry
+//! that regresses past its slack, or a floor that does not hold, fails
+//! the job. The `suite_wallclock/*` entries are recorded, never gated.
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -1,8 +1,8 @@
 //! Shared helpers for the table/figure regeneration binaries.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the MT4G
-//! paper; the Criterion benches in `benches/` measure the statistical
-//! kernel and the simulator substrate.
+//! Most binaries in `src/bin/` regenerate one table or figure of the MT4G
+//! paper; `bench_snapshot` and `bench_gate` record and ratchet the
+//! simulator's hot-path timings.
 //!
 //! # Paper map
 //!

@@ -8,8 +8,6 @@
 //!      [--only <ELEMENT>] [--fast] [--jobs N] [--shard i/n] [-o <DIR>]
 //! mt4g merge <PARTIAL.json>... [-j] [-p] [-c] [-q] [-o <DIR>]
 //! mt4g serve [--workers N] [--queue-cap N] [--cache-cap N] [-q]
-//! mt4g bench-serve [--arrival MODEL] [--requests N] [--seed N]
-//!      [--trace FILE] [--workers N] [--queue-cap N] [--cache-cap N]
 //! mt4g list
 //! ```
 //!
@@ -41,8 +39,6 @@
 //! * `mt4g serve` — long-running daemon: line-delimited JSON requests on
 //!   stdin, responses on stdout, backed by the job layer's
 //!   content-addressed result cache
-//! * `mt4g bench-serve` — load-generator harness over an in-process serve
-//!   engine; reports hit/miss latency percentiles, hit rate, and qps
 //! * `mt4g list` — the preset registry: names, aliases, vendor, family
 //! * `--list` — short form: canonical preset names only
 //!
@@ -55,10 +51,7 @@ use std::io::{BufRead, Write};
 use std::path::PathBuf;
 
 use mt4g_core::report;
-use mt4g_core::serve::{
-    assign_offsets, default_mix, parse_request, run_bench, run_load, summarize, ArrivalModel, Flow,
-    ServeEngine, ServeOptions,
-};
+use mt4g_core::serve::{Flow, ServeEngine, ServeOptions};
 use mt4g_core::suite::{
     merge_partials, normalize_report, partial_from_json, JobResult, JobSpec, Selection,
 };
@@ -90,14 +83,9 @@ struct Args {
     merge_inputs: Option<Vec<PathBuf>>,
     out_dir: PathBuf,
     serve: bool,
-    bench_serve: bool,
     workers: usize,
     queue_cap: usize,
     cache_cap: usize,
-    arrival: String,
-    requests: usize,
-    seed: u64,
-    trace: Option<PathBuf>,
 }
 
 fn parse_shard(spec: &str) -> Result<(usize, usize), String> {
@@ -134,14 +122,9 @@ fn parse_args() -> Result<Args, String> {
         merge_inputs: None,
         out_dir: PathBuf::from("."),
         serve: false,
-        bench_serve: false,
         workers: 2,
         queue_cap: 128,
         cache_cap: 64,
-        arrival: "poisson:30".to_string(),
-        requests: 80,
-        seed: 0x4d54_3447, // "MT4G"
-        trace: None,
     };
     let mut it = std::env::args().skip(1).peekable();
     match it.peek().map(String::as_str) {
@@ -156,10 +139,6 @@ fn parse_args() -> Result<Args, String> {
         Some("serve") => {
             it.next();
             args.serve = true;
-        }
-        Some("bench-serve") => {
-            it.next();
-            args.bench_serve = true;
         }
         _ => {}
     }
@@ -196,17 +175,6 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => args.workers = parse_count(&mut it, "--workers")?,
             "--queue-cap" => args.queue_cap = parse_count(&mut it, "--queue-cap")?,
             "--cache-cap" => args.cache_cap = parse_count(&mut it, "--cache-cap")?,
-            "--requests" => args.requests = parse_count(&mut it, "--requests")?,
-            "--arrival" => args.arrival = it.next().ok_or("--arrival needs a value")?,
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                args.seed = v
-                    .parse()
-                    .map_err(|_| format!("--seed expects a number, got '{v}'"))?;
-            }
-            "--trace" => {
-                args.trace = Some(PathBuf::from(it.next().ok_or("--trace needs a value")?))
-            }
             "-o" | "--out" => args.out_dir = PathBuf::from(it.next().ok_or("--out needs a value")?),
             "-h" | "--help" => {
                 print_help();
@@ -231,7 +199,7 @@ fn parse_count(
 }
 
 fn print_help() {
-    println!(
+    print_stdout(&format!(
         "mt4g — auto-discovery of GPU compute and memory topologies (simulated substrate)\n\n\
          USAGE: mt4g --gpu <PRESET> [--scenario <SCENARIO>] [-j] [-p] [-c] [-g] [-q]\n\
          \x20             [--only <ELEMENT>] [--fast] [--tlb] [--contention] [--policy] [--debug]\n\
@@ -239,8 +207,6 @@ fn print_help() {
          \x20             [--jobs N] [--shard i/n] [-o <DIR>]\n\
          \x20      mt4g merge <PARTIAL.json>... [-j] [-p] [-c] [-q] [-o <DIR>]\n\
          \x20      mt4g serve [--workers N] [--queue-cap N] [--cache-cap N] [-q]\n\
-         \x20      mt4g bench-serve [--arrival MODEL] [--requests N] [--seed N]\n\
-         \x20                       [--trace FILE] [--workers N] [--queue-cap N] [--cache-cap N]\n\
          \x20      mt4g list\n\n\
          PRESETS: {}\n\
          ELEMENTS: L1 L2 L3 Texture Readonly ConstL1 ConstL15 Shared LDS vL1 sL1d Device\n\
@@ -257,31 +223,29 @@ fn print_help() {
          merge        reassemble a complete set of partial reports into the full report\n\
          serve        long-running daemon: line-delimited JSON requests on stdin,\n\
          \x20             responses on stdout, cache-accelerated (see ARCHITECTURE.md)\n\
-         bench-serve  drive an in-process serve engine with synthetic load\n\
-         \x20             (MODEL: poisson:<hz> | incremental:<a>..<b> | replay)\n\
          list         the full preset registry (names, aliases, vendor, family)",
         Registry::global().names().collect::<Vec<_>>().join(" ")
-    );
+    ));
 }
 
 /// `mt4g list`: the registry as a table — canonical name, vendor, family,
 /// device name, and accepted aliases.
 fn print_registry() {
-    let reg = Registry::global();
-    println!(
+    let mut table = format!(
         "{:<14} {:<7} {:<10} {:<28} ALIASES",
         "NAME", "VENDOR", "FAMILY", "DEVICE"
     );
-    for e in reg.entries() {
-        println!(
-            "{:<14} {:<7} {:<10} {:<28} {}",
+    for e in Registry::global().entries() {
+        table.push_str(&format!(
+            "\n{:<14} {:<7} {:<10} {:<28} {}",
             e.name,
             e.vendor.to_string(),
             e.family.label(),
             e.gpu().config.name,
             e.aliases.join(", ")
-        );
+        ));
     }
+    print_stdout(&table);
 }
 
 fn parse_element(s: &str) -> Option<CacheKind> {
@@ -303,9 +267,7 @@ fn main() {
         return;
     }
     if args.list {
-        for name in Registry::global().names() {
-            println!("{name}");
-        }
+        print_stdout(&Registry::global().names().collect::<Vec<_>>().join("\n"));
         return;
     }
     if args.merge_inputs.is_some() {
@@ -320,10 +282,6 @@ fn main() {
     }
     if args.serve {
         run_serve_mode(&args);
-        return;
-    }
-    if args.bench_serve {
-        run_bench_serve_mode(&args);
         return;
     }
     let Some(gpu_name) = args.gpu.as_deref() else {
@@ -420,7 +378,7 @@ fn main() {
                     eprintln!("mt4g: wrote {}", path.display());
                 }
             } else {
-                println!("{}", out.bytes);
+                print_stdout(&out.bytes);
             }
         }
     }
@@ -483,7 +441,7 @@ fn emit_report(args: &Args, report: &mt4g_core::report::Report, json: &str) {
             eprintln!("mt4g: wrote {}", path.display());
         }
     } else {
-        println!("{json}");
+        print_stdout(json);
     }
     if args.markdown {
         let path = args.out_dir.join(format!("{stem}.md"));
@@ -652,80 +610,6 @@ fn run_serve_mode(args: &Args) {
     }
 }
 
-/// `mt4g bench-serve`: drives an in-process serve engine with synthetic
-/// (or replayed) load and prints the benchmark report as JSON on stdout.
-fn run_bench_serve_mode(args: &Args) {
-    let Some(model) = ArrivalModel::parse(&args.arrival) else {
-        eprintln!(
-            "error: unknown arrival model '{}' (expected poisson:<hz>, incremental:<a>..<b>, or replay)",
-            args.arrival
-        );
-        std::process::exit(2);
-    };
-    let opts = ServeOptions {
-        workers: args.workers,
-        queue_cap: args.queue_cap,
-        cache_cap: args.cache_cap,
-        job_threads: 1,
-    };
-    let report = match &args.trace {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("error: cannot read {}: {e}", path.display());
-                std::process::exit(2);
-            });
-            let mut reqs = Vec::new();
-            for (lineno, line) in text.lines().enumerate() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                match parse_request(line) {
-                    Ok(req) => reqs.push(req),
-                    Err(e) => {
-                        eprintln!("error: {}:{}: {}", path.display(), lineno + 1, e.message);
-                        std::process::exit(2);
-                    }
-                }
-            }
-            if reqs.is_empty() {
-                eprintln!("error: trace {} holds no requests", path.display());
-                std::process::exit(2);
-            }
-            // A non-replay model re-times the trace's requests; replay
-            // keeps the recorded offsets.
-            assign_offsets(&mut reqs, &model, args.seed);
-            if !args.quiet {
-                eprintln!(
-                    "mt4g: bench-serve: replaying {} request(s) from {}, arrival {} ...",
-                    reqs.len(),
-                    path.display(),
-                    model.label()
-                );
-            }
-            let outcome = run_load(opts, &reqs);
-            summarize(&model, &reqs, &outcome)
-        }
-        None => {
-            if model == ArrivalModel::Replay {
-                eprintln!("error: --arrival replay needs --trace <FILE> with recorded offsets");
-                std::process::exit(2);
-            }
-            if !args.quiet {
-                eprintln!(
-                    "mt4g: bench-serve: cold pass over the mix, then {} request(s), arrival {} ...",
-                    args.requests,
-                    model.label()
-                );
-            }
-            run_bench(opts, &default_mix(), args.requests, &model, args.seed)
-        }
-    };
-    let json = serde_json::to_string_pretty(&report)
-        .unwrap_or_else(|e| fail(format_args!("cannot serialise the bench report: {e}")));
-    println!("{json}");
-}
-
 const SIGTERM: i32 = 15;
 
 extern "C" {
@@ -769,6 +653,16 @@ fn install_sigterm_handler() {
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
+}
+
+/// Prints `text` and a newline to stdout, the one way this tool writes
+/// there outside serve mode. A closed reader (`mt4g … | head`) or any
+/// other write error ends the run through [`fail`], not a panic.
+fn print_stdout(text: &str) {
+    let mut out = std::io::stdout();
+    if let Err(e) = writeln!(out, "{text}").and_then(|()| out.flush()) {
+        fail(format_args!("cannot write to stdout: {e}"));
+    }
 }
 
 fn write_file(path: &std::path::Path, contents: &str) {

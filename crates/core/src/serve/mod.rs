@@ -15,10 +15,7 @@
 //!   plan fingerprint), with collision verification so a hit can never
 //!   serve another cell's bytes;
 //! * [`queue`] — the [`ServeEngine`]: bounded admission, a worker pool
-//!   over the existing per-unit executor, and the response channel;
-//! * [`loadgen`] — the `mt4g bench-serve` harness: seeded traffic
-//!   synthesis (Poisson / incremental-ramp / trace replay), an open-loop
-//!   driver, and latency/throughput summarization.
+//!   over the existing per-unit executor, and the response channel.
 //!
 //! The safety argument for serving cached bytes is the suite's
 //! byte-determinism invariant: a cell's plan fingerprint encodes
@@ -27,14 +24,9 @@
 //! assert byte-for-byte.
 
 pub mod cache;
-pub mod loadgen;
 pub mod protocol;
 pub mod queue;
 
 pub use cache::{CacheKey, CacheStats, ResultCache};
-pub use loadgen::{
-    assign_offsets, default_mix, run_bench, run_load, summarize, synthesize, verify_hit_bytes,
-    ArrivalModel, BenchServeReport, LatencySummary, LoadRunOutcome, MixEntry,
-};
 pub use protocol::{parse_request, salvage_id, ErrorBody, Request, Response, ServeStats};
 pub use queue::{Flow, ServeEngine, ServeOptions};

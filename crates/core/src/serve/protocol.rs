@@ -67,10 +67,6 @@ pub struct Request {
     /// Restrict discovery to one element (CLI `--only` spellings).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub only: Option<String>,
-    /// Arrival offset in microseconds — meaningful only inside replay
-    /// trace files consumed by `mt4g bench-serve`; the daemon ignores it.
-    #[serde(default)]
-    pub offset_us: u64,
 }
 
 /// A structured error: a stable machine-readable code plus a
@@ -292,7 +288,6 @@ mod tests {
             contention: false,
             policy: true,
             only: None,
-            offset_us: 1500,
         };
         let json = serde_json::to_string(&req).unwrap();
         let back: Request = serde_json::from_str(&json).unwrap();
@@ -307,6 +302,10 @@ mod tests {
         let spec = req.to_spec(1).unwrap();
         assert_eq!(spec.gpu, "T1000");
         assert_eq!(spec.scenario, Scenario::BareMetal);
+        // Fields the protocol does not define are ignored, so a client
+        // that still sends an arrival `offset_us` keeps parsing.
+        let extra = r#"{"op":"discover","gpu":"T1000","offset_us":1500}"#;
+        assert_eq!(parse_request(extra).unwrap(), req);
     }
 
     #[test]

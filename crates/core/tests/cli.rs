@@ -271,8 +271,9 @@ fn hostile_scenario_runs_from_the_cli() {
     );
 }
 
-/// I/O failures on the write path must exit with a one-line error and a
-/// non-zero code — not a panic backtrace (the old `expect()` path).
+/// I/O failures on the write path (a missing `-o` directory, a closed
+/// stdout) must exit with a one-line error and code 1, not a panic
+/// backtrace.
 #[test]
 fn unwritable_output_dir_fails_with_one_line_error() {
     let out = mt4g()
@@ -290,6 +291,29 @@ fn unwritable_output_dir_fails_with_one_line_error() {
         !stderr.contains("panicked"),
         "must not panic with a backtrace: {stderr}"
     );
+
+    // A reader that closes early (`mt4g ... | head -c 10`) is the same
+    // kind of I/O failure on stdout. The child's stdout is a pipe whose
+    // read end is already closed, so its first write fails.
+    for args in [&["--gpu", "T1000", "--fast", "-q"][..], &["list"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = mt4g().args(args).stdout(writer).output().expect("runs");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{args:?}: closed stdout exits 1"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("error: cannot write"),
+            "{args:?}: one-line message expected, got: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "{args:?}: must not panic with a backtrace: {stderr}"
+        );
+    }
 }
 
 /// `--tlb --contention` surface the extension sections in the report; a

@@ -61,17 +61,19 @@ fn assert_shards_merge_byte_identical(gpu: &str, shards: usize) {
     assert_shards_merge_byte_identical_with(gpu, &[], shards);
 }
 
-/// `--jobs 1`, `--jobs 4`, and a merged 3-way shard split of the same
-/// fast T1000 run all produce byte-identical reports.
+/// `--jobs 1`, `--jobs 2`, `--jobs 4`, and a merged 3-way shard split of
+/// the same fast T1000 run all produce byte-identical reports.
 #[test]
 fn jobs_and_shards_emit_byte_identical_reports() {
     let base = ["--gpu", "T1000", "--fast", "-q"];
     let sequential = run_stdout(&[&base[..], &["--jobs", "1"]].concat());
-    let parallel = run_stdout(&[&base[..], &["--jobs", "4"]].concat());
-    assert_eq!(
-        sequential, parallel,
-        "--jobs must not change the report bytes"
-    );
+    for jobs in ["2", "4"] {
+        let parallel = run_stdout(&[&base[..], &["--jobs", jobs]].concat());
+        assert_eq!(
+            sequential, parallel,
+            "--jobs {jobs} must not change the report bytes"
+        );
+    }
     assert_shards_merge_byte_identical("T1000", 3);
 }
 

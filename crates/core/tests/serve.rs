@@ -7,7 +7,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 
 use mt4g_core::serve::{Flow, Response, ServeEngine, ServeOptions};
-use mt4g_core::suite::{JobSpec, Selection};
+use mt4g_core::suite::{DiscoveryConfig, JobSpec, Selection};
+use mt4g_sim::device::CacheKind;
 use mt4g_sim::scenario::Scenario;
 
 fn tiny_engine() -> (ServeEngine, std::sync::mpsc::Receiver<Response>) {
@@ -67,38 +68,63 @@ fn cache_keys_separate_scenario_knobs_and_selection() {
 }
 
 /// A cache hit must return the exact bytes a cold, out-of-band recompute
-/// produces — the acceptance criterion of the result cache.
+/// produces — the acceptance criterion of the result cache. The cells mix
+/// bare-metal, hostile, MIG and thorough runs (each restricted to CL1 to
+/// stay cheap); every repeat must be a hit, so hits never recompute.
 #[test]
 fn cache_hit_is_byte_identical_to_cold_recompute() {
-    let line = r#"{"id":7,"op":"discover","gpu":"T1000","only":"cl1","mode":"fast"}"#;
+    let cells = [
+        ("T1000", "bare-metal", "fast"),
+        ("T1000", "hostile", "fast"),
+        ("A100", "mig:2g.10gb", "fast"),
+        ("T1000", "bare-metal", "thorough"),
+    ];
     let (mut engine, rx) = tiny_engine();
-    engine.handle_line(line);
-    let miss = rx.recv().unwrap();
-    assert!(miss.ok && !miss.cached);
-    engine.handle_line(line);
-    let hit = rx.recv().unwrap();
-    assert!(hit.ok && hit.cached, "second request must hit");
-    engine.shutdown();
+    for (i, (gpu, scenario, mode)) in cells.into_iter().enumerate() {
+        let cell = format!("{gpu} {scenario} {mode}");
+        let request = |id: usize| {
+            format!(
+                r#"{{"id":{id},"op":"discover","gpu":"{gpu}","scenario":"{scenario}","mode":"{mode}","only":"cl1"}}"#
+            )
+        };
+        engine.handle_line(&request(2 * i + 1));
+        let miss = rx.recv().unwrap();
+        assert!(miss.ok && !miss.cached, "{cell}: first request recomputes");
+        engine.handle_line(&request(2 * i + 2));
+        let hit = rx.recv().unwrap();
+        assert!(hit.ok && hit.cached, "{cell}: repeat must hit");
+        assert_eq!(miss.report, hit.report, "{cell}");
 
-    // Cold recompute through the job layer, no serve machinery at all.
-    let mut cfg = mt4g_core::suite::DiscoveryConfig::fast();
-    cfg.only = Some(vec![mt4g_sim::device::CacheKind::ConstL1]);
-    cfg.jobs = 1;
-    let mut job = JobSpec {
-        gpu: "T1000".to_string(),
-        scenario: Scenario::BareMetal,
-        cfg,
-        selection: Selection::Full,
+        // Cold recompute through the job layer, no serve machinery at all.
+        let mut cfg = match mode {
+            "fast" => DiscoveryConfig::fast(),
+            _ => DiscoveryConfig::thorough(),
+        };
+        cfg.only = Some(vec![CacheKind::ConstL1]);
+        cfg.jobs = 1;
+        let cold = JobSpec {
+            gpu: gpu.to_string(),
+            scenario: Scenario::parse(scenario).unwrap(),
+            cfg,
+            selection: Selection::Full,
+        }
+        .resolve()
+        .unwrap()
+        .run()
+        .unwrap();
+        assert_eq!(
+            hit.report.as_deref(),
+            Some(cold.bytes.as_str()),
+            "{cell}: cached bytes must equal a cold recompute byte-for-byte"
+        );
     }
-    .resolve()
-    .unwrap();
-    let cold = job.run().unwrap();
+    let stats = engine.shutdown();
     assert_eq!(
-        hit.report.as_deref(),
-        Some(cold.bytes.as_str()),
-        "cached bytes must equal a cold recompute byte-for-byte"
+        (stats.misses, stats.hits),
+        (4, 4),
+        "one recompute per distinct cell, one hit per repeat"
     );
-    assert_eq!(miss.report, hit.report);
+    assert_eq!((stats.rejected, stats.bad_requests), (0, 0));
 }
 
 #[test]
