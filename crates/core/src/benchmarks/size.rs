@@ -146,11 +146,12 @@ fn measure(gpu: &mut Gpu, cfg: &SizeConfig, array_bytes: u64, overhead: f64) -> 
 ///
 /// The search phase runs this test dozens of times, so pure statistical
 /// significance at the CPD's alpha would false-positive on a few percent
-/// of probes and strand the interval on the wrong side of the boundary.
-/// A genuine capacity transition moves the whole distribution by the gap
-/// between adjacent memory levels (tens to hundreds of cycles), so the
-/// test additionally demands a practical effect size on the medians.
-fn diverges(reference: &[f64], sample: &[f64], _alpha: f64) -> bool {
+/// of probes and strand the interval on the wrong side of the boundary:
+/// the K-S screen runs at a fixed 0.001 instead. A genuine capacity
+/// transition moves the whole distribution by the gap between adjacent
+/// memory levels (tens to hundreds of cycles), so the test additionally
+/// demands a practical effect size on the medians.
+fn diverges(reference: &[f64], sample: &[f64]) -> bool {
     use mt4g_stats::descriptive::percentile;
     if !ks::ks_test(reference, sample, 0.001).reject {
         return false;
@@ -182,7 +183,7 @@ pub fn run(gpu: &mut Gpu, cfg: &SizeConfig) -> SizeResult {
                 reason: format!("cannot allocate {size} B array"),
             };
         };
-        if diverges(&reference, &sample, cfg.alpha) {
+        if diverges(&reference, &sample) {
             hi = Some(size);
             break;
         }
@@ -208,7 +209,7 @@ pub fn run(gpu: &mut Gpu, cfg: &SizeConfig) -> SizeResult {
                 reason: "allocation failure during binary search".into(),
             };
         };
-        if diverges(&reference, &sample, cfg.alpha) {
+        if diverges(&reference, &sample) {
             hi = mid;
         } else {
             lo = mid;
@@ -327,8 +328,7 @@ fn confirm_boundary(
 ) -> Option<u64> {
     let debug = cfg.debug;
     confirm_boundary_walk(candidate, fg, 4, |size| {
-        let fits = measure(gpu, cfg, size, overhead)
-            .map(|sample| !diverges(reference, &sample, cfg.alpha));
+        let fits = measure(gpu, cfg, size, overhead).map(|sample| !diverges(reference, &sample));
         if debug {
             eprintln!("confirm_boundary: probe size={size} fits={fits:?}");
         }

@@ -153,11 +153,10 @@ pub fn run_pchase_with_overhead(
         &PchaseBatch {
             base: gpu.buffer_base(buf),
             elem_bytes: cfg.stride_bytes,
-            n_elems: elements,
+            warm_steps: if cfg.warmup { elements } else { 0 },
             timed_steps,
             space: cfg.space,
             flags: cfg.flags,
-            warmup: cfg.warmup,
         },
         cfg.record_n,
     );
@@ -210,18 +209,18 @@ pub fn warm(
     sm: usize,
     core: usize,
 ) {
-    gpu.pchase_warm_batch(
+    gpu.pchase_batch(
         sm,
         core,
         &PchaseBatch {
             base: buf.base,
             elem_bytes: buf.stride_bytes,
-            n_elems: buf.elements,
+            warm_steps: buf.elements,
             timed_steps: 0,
             space,
             flags,
-            warmup: true,
         },
+        0,
     );
 }
 
@@ -239,17 +238,16 @@ pub fn observe(
     overhead: f64,
 ) -> Vec<f64> {
     let steps = (record_n as u64).min(buf.elements).max(1);
-    let run = gpu.pchase_timed_batch(
+    let run = gpu.pchase_batch(
         sm,
         core,
         &PchaseBatch {
             base: buf.base,
             elem_bytes: buf.stride_bytes,
-            n_elems: buf.elements,
+            warm_steps: 0,
             timed_steps: steps,
             space,
             flags,
-            warmup: false,
         },
         record_n,
     );

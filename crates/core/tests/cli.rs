@@ -106,10 +106,12 @@ fn fast_discovery_smoke_emits_l1_json() {
     assert_eq!(stdout, run(), "two identical runs must emit identical JSON");
 }
 
-/// `--timings` is purely diagnostic: it must append per-unit wall-clock
-/// lines (and a total) to stderr while leaving the report bytes on
-/// stdout identical to a run without the flag. Host timing values are
-/// machine-dependent, so only the line *shape* is asserted.
+/// `--timings` and `--debug` are purely diagnostic: each must trace to
+/// stderr while leaving the report bytes on stdout identical to a run
+/// without the flag. `--timings` appends per-unit wall-clock lines (and
+/// a total); `--debug` traces every boundary-confirmation probe. Host
+/// timing values are machine-dependent, so only the line *shape* is
+/// asserted.
 #[test]
 fn timings_flag_traces_stderr_without_changing_report_bytes() {
     let run = |extra: &[&str]| {
@@ -155,6 +157,22 @@ fn timings_flag_traces_stderr_without_changing_report_bytes() {
             .last()
             .is_some_and(|l| l.starts_with("timing total:")),
         "last timing line is the total: {timing_lines:?}"
+    );
+
+    let (debug_stdout, debug_stderr) = run(&["--debug"]);
+    assert_eq!(
+        plain_stdout, debug_stdout,
+        "--debug must never change the report bytes"
+    );
+    assert!(
+        !plain_stderr.contains("confirm_boundary: "),
+        "no confirmation trace without the flag"
+    );
+    assert!(
+        debug_stderr
+            .lines()
+            .any(|l| l.starts_with("confirm_boundary: probe size=")),
+        "expected boundary-confirmation probe lines, got: {debug_stderr}"
     );
 }
 

@@ -75,25 +75,27 @@ pub struct LaunchResult {
     pub cycles: u64,
 }
 
-/// Descriptor of a batched p-chase execution — the native fast path that
-/// replaces interpreting `KernelBuilder::pchase_kernel` instruction by
-/// instruction. Field semantics mirror the kernel builder's parameters.
+/// One batched p-chase: an untimed warm-up lap of `warm_steps` loads
+/// from the ring's first element, then `timed_steps` timed loads
+/// restarting from it. It is the native form of the `KernelBuilder`
+/// chase kernels: `pchase_kernel` (with or without its warm-up),
+/// `pchase_warm_kernel` (no timed steps) and `pchase_timed_kernel` (no
+/// warm-up). Field semantics mirror the kernel builder's parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct PchaseBatch {
     /// Device base address of the chase array.
     pub base: u64,
     /// Stride between consecutive chase elements, in bytes.
     pub elem_bytes: u64,
-    /// Number of elements in the chase ring.
-    pub n_elems: u64,
-    /// Number of timed steps to execute.
+    /// Untimed warm-up loads (a full lap is the ring's element count; 0
+    /// skips the warm-up).
+    pub warm_steps: u64,
+    /// Timed loads (0 for a warm-up-only pass).
     pub timed_steps: u64,
     /// Logical memory space of the loads.
     pub space: MemorySpace,
     /// Cache-policy flags.
     pub flags: LoadFlags,
-    /// Whether to run the untimed warm-up pass over the whole ring first.
-    pub warmup: bool,
 }
 
 /// Aggregate counters, used for the run-time accounting of Sec. V-A.
@@ -306,37 +308,13 @@ impl Gpu {
         n
     }
 
+    #[inline]
     fn read_mem(&self, addr: u64) -> u32 {
         // Unmapped reads return zero, like a zero page.
         self.buffers
             .iter()
             .find(|buf| buf.holds(addr))
             .map_or(0, |buf| buf.word_at(addr - buf.base))
-    }
-
-    /// [`Self::read_mem`] with a pre-resolved buffer index: the p-chase
-    /// ring never leaves the buffer containing its base, so the linear
-    /// buffer scan is paid once per batch instead of once per element.
-    /// Buffers are disjoint (monotonic page-aligned bases), so probing
-    /// the hinted buffer first returns exactly what the scan would; any
-    /// address outside it falls back to the scan.
-    #[inline]
-    fn read_mem_hint(&self, hint: usize, addr: u64) -> u32 {
-        if let Some(buf) = self.buffers.get(hint) {
-            if buf.holds(addr) {
-                return buf.word_at(addr - buf.base);
-            }
-        }
-        self.read_mem(addr)
-    }
-
-    /// Index of the buffer containing `addr` (`usize::MAX` when unmapped —
-    /// [`Self::read_mem_hint`] then degrades to the plain scan).
-    fn buffer_index_of(&self, addr: u64) -> usize {
-        self.buffers
-            .iter()
-            .position(|b| b.holds(addr))
-            .unwrap_or(usize::MAX)
     }
 
     /// Invalidates all caches (a new benchmark's pristine state).
@@ -366,11 +344,21 @@ impl Gpu {
     /// Executes a p-chase natively — the batched-load fast path.
     ///
     /// Cycle-for-cycle, record-for-record and RNG-draw-for-RNG-draw
-    /// equivalent to `launch(KernelBuilder::pchase_kernel(..))`, but
-    /// without building an instruction vector or paying the interpreter's
-    /// per-instruction dispatch: the warm-up and timed loops run as tight
-    /// native loops over the memory hierarchy. The equivalence is pinned
-    /// by the `pchase_batch_*_matches_interpreter` tests below.
+    /// equivalent to launching the `KernelBuilder` chase kernel `batch`
+    /// mirrors, but without building an instruction vector or paying the
+    /// interpreter's per-instruction dispatch: the load route is resolved
+    /// once, and the warm-up and timed loops run as tight native loops
+    /// over it. The equivalence is pinned by the `*_matches_interpreter`
+    /// tests below.
+    ///
+    /// The kernel's `MovImm` preamble (the base, then an address and a
+    /// counter for each loop present) costs one ALU cycle per instruction
+    /// and never sits between two clock reads, so it is charged up front.
+    /// Only the timed loads draw measurement noise, one
+    /// [`NoiseModel::sample`] each, in load order. A warm-up load sits in
+    /// no clock window, so it is charged its noiseless latency and
+    /// consumes no RNG: a chase's draws, and so the noise its records
+    /// see, do not depend on how long its warm-up lap was.
     pub fn pchase_batch(
         &mut self,
         sm: usize,
@@ -378,77 +366,12 @@ impl Gpu {
         batch: &PchaseBatch,
         max_records: usize,
     ) -> LaunchResult {
-        assert!(batch.n_elems > 0 && batch.timed_steps > 0);
-        // MovImm preamble: base (+1); warm-up addr+counter (+2) when
-        // warming; timed addr+counter (+2).
-        let preamble = if batch.warmup { 5 } else { 3 };
-        let warm_steps = if batch.warmup { batch.n_elems } else { 0 };
-        self.pchase_exec(
-            sm,
-            core,
-            batch,
-            warm_steps,
-            batch.timed_steps,
-            preamble,
-            max_records,
-        )
-    }
-
-    /// Native equivalent of `launch(KernelBuilder::pchase_warm_kernel(..))`:
-    /// one untimed pass over the whole chase array.
-    ///
-    /// Consumes `base`, `elem_bytes`, `n_elems`, `space` and `flags` of
-    /// `batch`; the warm kernel has no timed loop, so `timed_steps` and
-    /// `warmup` are ignored (mirroring `pchase_warm_kernel`, which takes
-    /// neither parameter).
-    pub fn pchase_warm_batch(&mut self, sm: usize, core: usize, batch: &PchaseBatch) {
-        assert!(batch.n_elems > 0);
-        self.pchase_exec(sm, core, batch, batch.n_elems, 0, 3, 0);
-    }
-
-    /// Native equivalent of `launch(KernelBuilder::pchase_timed_kernel(..))`:
-    /// `timed_steps` timed steps with no warm-up.
-    ///
-    /// Consumes `base`, `elem_bytes`, `timed_steps`, `space` and `flags`
-    /// of `batch`; the timed kernel never warms and never wraps a ring,
-    /// so `warmup` and `n_elems` are ignored (mirroring
-    /// `pchase_timed_kernel`, which takes neither parameter).
-    pub fn pchase_timed_batch(
-        &mut self,
-        sm: usize,
-        core: usize,
-        batch: &PchaseBatch,
-        max_records: usize,
-    ) -> LaunchResult {
-        assert!(batch.timed_steps > 0);
-        self.pchase_exec(sm, core, batch, 0, batch.timed_steps, 3, max_records)
-    }
-
-    /// Shared body of the batched p-chase entry points. `preamble_alu` is
-    /// the number of `MovImm` setup instructions the equivalent kernel
-    /// executes; they cost [`ALU_COST`] each and never sit between the two
-    /// clock reads, so summing them up front keeps the cycle accounting
-    /// identical to the interpreter's.
-    ///
-    /// Only the timed loads draw measurement noise, one
-    /// [`NoiseModel::sample`] each, in load order. A warm-up load sits in
-    /// no clock window, so it is charged its noiseless latency and
-    /// consumes no RNG: a chase's draws, and so the noise its records
-    /// see, do not depend on how long its warm-up lap was.
-    #[allow(clippy::too_many_arguments)]
-    fn pchase_exec(
-        &mut self,
-        sm: usize,
-        core: usize,
-        batch: &PchaseBatch,
-        warm_steps: u64,
-        timed_steps: u64,
-        preamble_alu: u64,
-        max_records: usize,
-    ) -> LaunchResult {
+        let warms = batch.warm_steps > 0;
+        let times = batch.timed_steps > 0;
+        assert!(warms || times, "a p-chase batch runs at least one loop");
         let start_cycle = self.cycle;
         self.stats.kernels_launched += 1;
-        self.cycle += preamble_alu * ALU_COST;
+        self.cycle += (1 + 2 * warms as u64 + 2 * times as u64) * ALU_COST;
         let overhead = self.config.clock_overhead_cycles as u64;
         // AMD timed steps are preceded by two `s_waitcnt` fences *outside*
         // the clocked window (see `KernelBuilder::pchase_timed_step`).
@@ -457,35 +380,30 @@ impl Gpu {
         } else {
             0
         };
-
-        // The chase ring never leaves the buffer holding its base; resolve
-        // the buffer scan once per batch.
-        let hint = self.buffer_index_of(batch.base);
+        let route = self.mem.route(sm, core, batch.space, batch.flags);
 
         let mut records = Vec::with_capacity(max_records.min(4096));
         let mut addr = batch.base;
         // Warm-up pass: Load + MulImm + Add + BranchDecNz per element.
-        for _ in 0..warm_steps {
-            let res = self.mem.load(sm, core, batch.space, batch.flags, addr);
+        for _ in 0..batch.warm_steps {
+            let res = self.mem.load_via(&route, sm, addr);
             self.cycle += res.latency.max(1) as u64 + 3 * ALU_COST;
-            let idx = self.read_mem_hint(hint, addr) as u64;
-            addr = batch.base + idx * batch.elem_bytes;
+            addr = batch.base + self.read_mem(addr) as u64 * batch.elem_bytes;
         }
         // Timed pass, restarting from element 0: per step
         // [fences;] clock; load; store/fences; clock; sub; record; mul; add;
         // branch — the recorded value is `latency + store cost + overhead`.
         addr = batch.base;
-        for _ in 0..timed_steps {
-            let res = self.mem.load(sm, core, batch.space, batch.flags, addr);
+        for _ in 0..batch.timed_steps {
+            let res = self.mem.load_via(&route, sm, addr);
             let lat = self.noise.sample(&mut self.rng, res.latency);
             self.cycle += pre_fences + 2 * overhead + lat as u64 + STORE_SHARED_COST + 4 * ALU_COST;
             if records.len() < max_records {
                 records.push((lat as u64 + STORE_SHARED_COST + overhead) as u32);
             }
-            let idx = self.read_mem_hint(hint, addr) as u64;
-            addr = batch.base + idx * batch.elem_bytes;
+            addr = batch.base + self.read_mem(addr) as u64 * batch.elem_bytes;
         }
-        self.stats.loads_executed += warm_steps + timed_steps;
+        self.stats.loads_executed += batch.warm_steps + batch.timed_steps;
         let cycles = self.cycle - start_cycle;
         self.stats.total_cycles += cycles;
         LaunchResult { records, cycles }
@@ -844,11 +762,10 @@ mod tests {
                     &PchaseBatch {
                         base: base_b,
                         elem_bytes: stride,
-                        n_elems: n,
+                        warm_steps: if warmup { n } else { 0 },
                         timed_steps: 200,
                         space,
                         flags,
-                        warmup,
                     },
                     128,
                 );
@@ -949,14 +866,14 @@ mod tests {
             g.free_all();
             g.flush_caches();
             let buf = g.alloc_strided(MemorySpace::Global, bytes, 32).unwrap();
+            let n = g.init_pchase(buf, bytes, 32);
             PchaseBatch {
                 base: g.buffer_base(buf),
                 elem_bytes: 32,
-                n_elems: g.init_pchase(buf, bytes, 32),
+                warm_steps: if warmup { n } else { 0 },
                 timed_steps: 256,
                 space: MemorySpace::Global,
                 flags: LoadFlags::CACHE_ALL,
-                warmup,
             }
         };
 
@@ -968,15 +885,18 @@ mod tests {
         }
         let timed = |g: &mut Gpu| {
             let batch = ring(g, 64 << 10, false);
-            g.pchase_timed_batch(0, 0, &batch, 256)
+            g.pchase_batch(0, 0, &batch, 256)
         };
         assert_eq!(timed(&mut short_lap), timed(&mut long_lap));
 
         let warm_only = |noise: NoiseModel| {
             let mut g = gpu.fork(4);
             g.set_noise(noise);
-            let batch = ring(&mut g, 1 << 20, true);
-            g.pchase_warm_batch(0, 0, &batch);
+            let batch = PchaseBatch {
+                timed_steps: 0,
+                ..ring(&mut g, 1 << 20, true)
+            };
+            g.pchase_batch(0, 0, &batch, 0);
             g
         };
         let noisy = warm_only(NoiseModel::DEFAULT);
@@ -1001,14 +921,13 @@ mod tests {
             let n = a.init_pchase(buf_a, 4096, 64);
             b.init_pchase(buf_b, 4096, 64);
             let base = a.buffer_base(buf_a);
-            let batch = PchaseBatch {
+            let warm = PchaseBatch {
                 base,
                 elem_bytes: 64,
-                n_elems: n,
-                timed_steps: 48,
+                warm_steps: n,
+                timed_steps: 0,
                 space,
                 flags: LoadFlags::CACHE_ALL,
-                warmup: false,
             };
             let warm_kernel = KernelBuilder::pchase_warm_kernel(
                 gpu.vendor(),
@@ -1019,7 +938,7 @@ mod tests {
                 LoadFlags::CACHE_ALL,
             );
             a.launch(0, 0, &warm_kernel, 0);
-            b.pchase_warm_batch(0, 0, &batch);
+            b.pchase_batch(0, 0, &warm, 0);
             assert_eq!(a.stats(), b.stats());
             assert_eq!(a.elapsed_cycles(), b.elapsed_cycles());
             let timed_kernel = KernelBuilder::pchase_timed_kernel(
@@ -1031,7 +950,12 @@ mod tests {
                 LoadFlags::CACHE_ALL,
             );
             let want = a.launch(0, 0, &timed_kernel, 32);
-            let got = b.pchase_timed_batch(0, 0, &batch, 32);
+            let timed = PchaseBatch {
+                warm_steps: 0,
+                timed_steps: 48,
+                ..warm
+            };
+            let got = b.pchase_batch(0, 0, &timed, 32);
             assert_eq!(want, got);
             assert_eq!(a.stats(), b.stats());
         }

@@ -12,9 +12,17 @@
 //!   segmented GPU-level L2 (one segment visible per SM).
 //! * AMD: per-CU vector L1; a scalar L1d shared by a *group* of physical
 //!   CUs (the CU-sharing benchmark's target); per-XCD L2; optional L3.
+//!
+//! The caches live in one table of levels, each a kind, the planted
+//! latency of a hit there and its physical instances. A load runs
+//! in two explicit stages: `MemorySubsystem::route` resolves its route —
+//! which instances to try, in what order, at what latency — and
+//! `MemorySubsystem::load_via` walks it for one address.
+//! [`MemorySubsystem::load`] does both on every call; a batched p-chase
+//! resolves its route once and walks it for every load.
 
 use crate::cache::SectoredCache;
-use crate::device::{CacheKind, CacheSpec, DeviceConfig, LoadFlags, MemorySpace, Vendor};
+use crate::device::{CacheKind, DeviceConfig, LoadFlags, MemorySpace, Vendor};
 use crate::tlb::{Tlb, TlbAccess, TlbSpec};
 
 /// Sentinel for [`MemorySubsystem::tlb_page_shift`]: page size is not a
@@ -37,51 +45,43 @@ pub struct LoadResolution {
     pub first_level_hit: bool,
 }
 
-/// Which physical cache instance a [`PathStep`] touches — a stable index
-/// into the subsystem's instance vectors, resolved once per route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CacheRef {
-    L1(u32),
-    Tex(u32),
-    Ro(u32),
-    ConstL1(u32),
-    ConstL15,
-    Vl1(u32),
-    Sl1d(u32),
-    L2(u32),
-    L3,
+/// One cache level of the device: every physical instance of one kind.
+#[derive(Debug)]
+struct Level {
+    kind: CacheKind,
+    /// Planted end-to-end latency of a hit at this level.
+    latency: u32,
+    /// The level's instances. A Texture or Readonly level unified with L1
+    /// has none: its loads hit the L1 instance, at this level's latency.
+    caches: Vec<SectoredCache>,
 }
 
-/// One pre-resolved level of a load path: everything `load` needs besides
-/// the cache lookup itself.
+/// One level of a [`Route`]: the instance to try and what a hit there
+/// reports.
 #[derive(Debug, Clone, Copy)]
-struct PathStep {
-    cache: CacheRef,
-    level: CacheKind,
+struct Step {
+    /// Index into the subsystem's level table.
+    level: usize,
+    /// Index into that level's instances.
+    instance: usize,
+    kind: CacheKind,
     latency: u32,
-    /// The `first_level_hit` value a hit at this step reports.
     first_level_hit: bool,
 }
 
-/// A fully resolved load route: the ordered cache levels to try, then
-/// device memory. Scratchpad loads resolve to a flat-latency route with no
-/// steps and a non-DRAM terminal level.
+/// A resolved load route: the cache instances to try, in order, then the
+/// terminal level (device memory). A route depends only on the issuing
+/// (SM, core), the memory space and the flags, never on the address or
+/// on cache contents, so one route serves every load of a p-chase.
+/// Scratchpad loads resolve to a flat-latency route with no steps.
 #[derive(Debug, Clone, Copy)]
-struct Route {
-    steps: [Option<PathStep>; 3],
+pub(crate) struct Route {
+    steps: [Option<Step>; 3],
+    /// Whether the loads translate their address through the TLBs
+    /// (scratchpad windows are driver-managed physical memory and don't).
+    translates: bool,
     /// Resolution when every step misses (or for scratchpad loads).
     terminal: LoadResolution,
-}
-
-/// The memo key of a resolved route: routes depend only on the issuing
-/// (SM, core) and the logical path selectors, never on the address or on
-/// cache contents — which is what makes the memoization sound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RouteKey {
-    sm: u32,
-    core: u32,
-    space: MemorySpace,
-    flags: LoadFlags,
 }
 
 /// All physical cache instances of one GPU.
@@ -92,169 +92,100 @@ pub struct MemorySubsystem {
     cores_per_sm: usize,
     sl1d_group_of_cu: Vec<usize>,
     l2_segment_of_sm: Vec<usize>,
-
-    l1_amount: usize,
-    l1: Vec<SectoredCache>,
-    l1_spec: Option<CacheSpec>,
-    /// Measured-latency overrides for texture/readonly loads that hit the
-    /// *unified* L1 instance (the paths differ slightly on real silicon:
-    /// H100 measures 38/39/35 cycles for L1/TEX/RO).
-    unified_tex_latency: Option<u32>,
-    unified_ro_latency: Option<u32>,
-    /// Present only when L1/Texture/Readonly are NOT unified.
-    tex: Vec<SectoredCache>,
-    tex_spec: Option<CacheSpec>,
-    ro: Vec<SectoredCache>,
-    ro_spec: Option<CacheSpec>,
-    const_l1: Vec<SectoredCache>,
-    const_l1_spec: Option<CacheSpec>,
-    const_l15: Option<SectoredCache>,
-    const_l15_spec: Option<CacheSpec>,
-
-    vl1: Vec<SectoredCache>,
-    vl1_spec: Option<CacheSpec>,
-    sl1d: Vec<SectoredCache>,
-    sl1d_spec: Option<CacheSpec>,
-
-    l2: Vec<SectoredCache>,
-    l2_spec: Option<CacheSpec>,
-    l3: Option<SectoredCache>,
-    l3_spec: Option<CacheSpec>,
+    /// Every cache level the device has.
+    levels: Vec<Level>,
 
     scratch_latency: u32,
     dram_latency: u32,
 
     /// Address translation: one L1 TLB per SM/CU plus the shared L2 TLB
     /// (absent when the configuration models no TLB). Translation happens
-    /// per *address*, so it deliberately lives outside the route memo —
-    /// the memoized route stays a pure function of (sm, core, space,
-    /// flags) and the walk penalty is added per load on top of whatever
-    /// level serviced it.
+    /// per *address*, so it is not part of a [`Route`]: the walk penalty
+    /// is added per load on top of whatever level serviced it.
     tlb_spec: Option<TlbSpec>,
     /// `log2(page_bytes)` when the page size is a power of two (it is for
     /// every preset: 2 MiB driver large pages), else [`NO_PAGE_SHIFT`] and
     /// the page number falls back to a division.
     tlb_page_shift: u32,
     /// Single-entry `(sm, page)` translation memo: a p-chase walks its ring
-    /// in address order, so consecutive loads stay on one page and, after
-    /// a page's first load, the whole TLB walk is a foregone conclusion.
-    /// A repeat translation of the same page from the same SM is exactly the
-    /// [`Tlb`] `last_page` fast path — an L1-TLB hit with zero state
-    /// change anywhere (the L2 TLB is never consulted on an L1 hit) and
-    /// zero penalty — so skipping it is behaviour-identical. Any other
+    /// in address order, so consecutive loads stay on one page. The last
+    /// translation left its page resident and most recent in that SM's L1
+    /// TLB, so translating it again from the same SM is an L1-TLB hit that
+    /// changes no state (the L2 TLB is never consulted on an L1 hit) and
+    /// costs nothing — skipping it is behaviour-identical. Any other
     /// `(sm, page)` overwrites the memo; [`Self::flush_all`] invalidates.
     tlb_memo: (u32, u64),
     l1_tlb: Vec<Tlb>,
     l2_tlb: Option<Tlb>,
-
-    /// Single-entry route memo: the p-chase hot loop issues millions of
-    /// loads with an identical (sm, core, space, flags) tuple, so the
-    /// resolved path is computed once and replayed until the key changes.
-    route_memo: Option<(RouteKey, Route)>,
 }
 
 impl MemorySubsystem {
     /// Instantiates every physical cache of `config`.
     pub fn new(config: &DeviceConfig) -> Self {
         let num_sms = config.chip.num_sms as usize;
-        let cores_per_sm = config.chip.cores_per_sm as usize;
-
-        let get = |kind: CacheKind| config.cache(kind).copied();
-        // Every instance of a level runs the level's configured
-        // replacement policy (exact LRU unless the preset plants another).
-        let make = |spec: &CacheSpec, kind: CacheKind| {
-            SectoredCache::from_spec_with_policy(spec, config.policy_of(kind))
-        };
-        let make_per_sm = |spec: &CacheSpec, kind: CacheKind, count: usize| -> Vec<SectoredCache> {
-            (0..count).map(|_| make(spec, kind)).collect()
-        };
-
-        let l1_spec = match config.vendor {
-            Vendor::Nvidia => get(CacheKind::L1),
-            Vendor::Amd => None,
-        };
-        let l1_amount = l1_spec.and_then(|s| s.amount_per_sm).unwrap_or(1).max(1) as usize;
-        let l1 = l1_spec
-            .map(|s| make_per_sm(&s, CacheKind::L1, num_sms * l1_amount))
-            .unwrap_or_default();
-
-        let unified = config.sharing.l1_tex_ro_unified;
-        let unified_tex_latency = if unified {
-            get(CacheKind::Texture).map(|s| s.load_latency)
-        } else {
-            None
-        };
-        let unified_ro_latency = if unified {
-            get(CacheKind::Readonly).map(|s| s.load_latency)
-        } else {
-            None
-        };
-        let tex_spec = if unified {
-            None
-        } else {
-            get(CacheKind::Texture)
-        };
-        let ro_spec = if unified {
-            None
-        } else {
-            get(CacheKind::Readonly)
-        };
-        let tex = tex_spec
-            .map(|s| make_per_sm(&s, CacheKind::Texture, num_sms))
-            .unwrap_or_default();
-        let ro = ro_spec
-            .map(|s| make_per_sm(&s, CacheKind::Readonly, num_sms))
-            .unwrap_or_default();
-
-        let const_l1_spec = get(CacheKind::ConstL1);
-        let const_l1 = const_l1_spec
-            .map(|s| make_per_sm(&s, CacheKind::ConstL1, num_sms))
-            .unwrap_or_default();
-        let const_l15_spec = get(CacheKind::ConstL15);
-        let const_l15 = const_l15_spec.map(|s| make(&s, CacheKind::ConstL15));
-
-        let vl1_spec = match config.vendor {
-            Vendor::Amd => get(CacheKind::VL1),
-            Vendor::Nvidia => None,
-        };
-        let vl1 = vl1_spec
-            .map(|s| make_per_sm(&s, CacheKind::VL1, num_sms))
-            .unwrap_or_default();
+        let nvidia = config.vendor == Vendor::Nvidia;
+        let per_sm = |present: bool| if present { num_sms } else { 0 };
 
         // sL1d: one instance per *group* of physical CUs that has at least
-        // one active member. `sl1d_group_of_cu[cu]` indexes into `sl1d`.
-        let sl1d_spec = get(CacheKind::SL1D);
-        let (sl1d, sl1d_group_of_cu) =
-            if let (Some(spec), Some(layout)) = (sl1d_spec, config.cu_layout.as_ref()) {
-                let mut dense: Vec<u32> = Vec::new();
-                let mut map = Vec::with_capacity(num_sms);
-                for cu in 0..num_sms {
-                    let group = layout.sl1d_group_of(cu);
-                    let idx = dense.iter().position(|&g| g == group).unwrap_or_else(|| {
-                        dense.push(group);
-                        dense.len() - 1
-                    });
-                    map.push(idx);
-                }
-                let caches = dense.iter().map(|_| make(&spec, CacheKind::SL1D)).collect();
-                (caches, map)
-            } else {
-                (Vec::new(), vec![0; num_sms])
-            };
+        // one active member; `sl1d_group_of_cu[cu]` is the dense index.
+        let mut groups: Vec<u32> = Vec::new();
+        let sl1d_group_of_cu = (0..num_sms)
+            .map(|cu| {
+                let Some(layout) = config.cu_layout.as_ref() else {
+                    return 0;
+                };
+                let group = layout.sl1d_group_of(cu);
+                groups.iter().position(|&g| g == group).unwrap_or_else(|| {
+                    groups.push(group);
+                    groups.len() - 1
+                })
+            })
+            .collect();
 
-        let l2_spec = get(CacheKind::L2);
-        let l2_segments = l2_spec.map(|s| s.segments.max(1)).unwrap_or(1) as usize;
-        let l2 = l2_spec
-            .map(|s| (0..l2_segments).map(|_| make(&s, CacheKind::L2)).collect())
-            .unwrap_or_default();
+        let unified = config.sharing.l1_tex_ro_unified;
+        let l1_amount = config
+            .cache(CacheKind::L1)
+            .and_then(|s| s.amount_per_sm)
+            .unwrap_or(1)
+            .max(1) as usize;
+        let l2_segments = config
+            .cache(CacheKind::L2)
+            .map_or(1, |s| s.segments.max(1) as usize);
+        // Each level's instance count. Texture and Readonly unified with
+        // L1 keep a level, for their planted latency, with no instances.
+        let instances = [
+            (CacheKind::L1, per_sm(nvidia) * l1_amount),
+            (CacheKind::Texture, per_sm(!unified)),
+            (CacheKind::Readonly, per_sm(!unified)),
+            (CacheKind::ConstL1, num_sms),
+            (CacheKind::ConstL15, 1),
+            (CacheKind::VL1, per_sm(!nvidia)),
+            (CacheKind::SL1D, groups.len()),
+            (CacheKind::L2, l2_segments),
+            (CacheKind::L3, 1),
+        ];
+        let levels = instances
+            .into_iter()
+            .filter_map(|(kind, count)| {
+                let spec = config.cache(kind)?;
+                // Every instance of a level runs the level's configured
+                // replacement policy (exact LRU unless the preset plants
+                // another).
+                let policy = config.policy_of(kind);
+                Some(Level {
+                    kind,
+                    latency: spec.load_latency,
+                    caches: (0..count)
+                        .map(|_| SectoredCache::from_spec_with_policy(spec, policy))
+                        .collect(),
+                })
+            })
+            .collect();
 
         // L2 segment visibility: an SM/CU only ever talks to one segment
         // (paper Sec. IV-F1 / VI-C observation 2); the mapping itself is
         // pure configuration, shared with the contention validator.
         let l2_segment_of_sm = (0..num_sms).map(|sm| config.l2_segment_of(sm)).collect();
-
-        let l3_spec = get(CacheKind::L3);
-        let l3 = l3_spec.map(|s| make(&s, CacheKind::L3));
 
         let tlb_spec = config.tlb;
         let tlb_page_shift = tlb_spec
@@ -268,30 +199,10 @@ impl MemorySubsystem {
         MemorySubsystem {
             vendor: config.vendor,
             num_sms,
-            cores_per_sm,
+            cores_per_sm: config.chip.cores_per_sm as usize,
             sl1d_group_of_cu,
             l2_segment_of_sm,
-            l1_amount,
-            l1,
-            l1_spec,
-            unified_tex_latency,
-            unified_ro_latency,
-            tex,
-            tex_spec,
-            ro,
-            ro_spec,
-            const_l1,
-            const_l1_spec,
-            const_l15,
-            const_l15_spec,
-            vl1,
-            vl1_spec,
-            sl1d,
-            sl1d_spec,
-            l2,
-            l2_spec,
-            l3,
-            l3_spec,
+            levels,
             scratch_latency: config.scratchpad.load_latency,
             dram_latency: config.dram.load_latency,
             tlb_spec,
@@ -299,16 +210,25 @@ impl MemorySubsystem {
             tlb_memo: NO_TLB_MEMO,
             l1_tlb,
             l2_tlb,
-            route_memo: None,
         }
     }
 
+    /// How many physical instances of `kind` the device has (0 when it has
+    /// none of its own).
+    fn instances(&self, kind: CacheKind) -> usize {
+        self.levels
+            .iter()
+            .find(|l| l.kind == kind)
+            .map_or(0, |l| l.caches.len())
+    }
+
     /// Index of the L1 instance serving (`sm`, `core`): cores of one SM are
-    /// split evenly across the SM's `l1_amount` instances.
+    /// split evenly across the SM's L1 instances.
     fn l1_instance(&self, sm: usize, core: usize) -> usize {
-        let per_instance = (self.cores_per_sm / self.l1_amount).max(1);
-        let within = (core / per_instance).min(self.l1_amount - 1);
-        sm * self.l1_amount + within
+        let amount = (self.instances(CacheKind::L1) / self.num_sms).max(1);
+        let per_instance = (self.cores_per_sm / amount).max(1);
+        let within = (core / per_instance).min(amount - 1);
+        sm * amount + within
     }
 
     /// The L2 segment index an SM/CU is wired to.
@@ -316,40 +236,14 @@ impl MemorySubsystem {
         self.l2_segment_of_sm[sm]
     }
 
-    /// The dense sL1d instance index serving a logical CU.
-    pub fn sl1d_instance_of(&self, cu: usize) -> usize {
-        self.sl1d_group_of_cu[cu]
-    }
-
-    /// Invalidates every cache on the device (and drops the route memo —
-    /// routes are pure topology, but a flush marks a benchmark boundary,
-    /// so holding state across it buys nothing).
+    /// Invalidates every cache and TLB on the device.
     pub fn flush_all(&mut self) {
-        self.route_memo = None;
         self.tlb_memo = NO_TLB_MEMO;
-        for c in self
-            .l1
-            .iter_mut()
-            .chain(self.tex.iter_mut())
-            .chain(self.ro.iter_mut())
-            .chain(self.const_l1.iter_mut())
-            .chain(self.vl1.iter_mut())
-            .chain(self.sl1d.iter_mut())
-            .chain(self.l2.iter_mut())
-        {
-            c.flush();
+        for cache in self.levels.iter_mut().flat_map(|l| &mut l.caches) {
+            cache.flush();
         }
-        if let Some(c) = self.const_l15.as_mut() {
-            c.flush();
-        }
-        if let Some(c) = self.l3.as_mut() {
-            c.flush();
-        }
-        for t in self.l1_tlb.iter_mut() {
-            t.flush();
-        }
-        if let Some(t) = self.l2_tlb.as_mut() {
-            t.flush();
+        for tlb in self.l1_tlb.iter_mut().chain(self.l2_tlb.as_mut()) {
+            tlb.flush();
         }
     }
 
@@ -366,8 +260,8 @@ impl MemorySubsystem {
         } else {
             addr / spec.page_bytes
         };
-        // Repeat (sm, page): the `last_page` L1-TLB hit, memoized (see the
-        // field doc for why this is state-identical to taking the walk).
+        // Repeat (sm, page): an L1-TLB hit with no state change (see the
+        // field doc).
         if self.tlb_memo == (sm as u32, page) {
             return 0;
         }
@@ -398,20 +292,12 @@ impl MemorySubsystem {
         }
     }
 
-    /// Routes one load and updates cache state.
+    /// Routes one load and updates cache state: `route`, then `load_via`.
     ///
     /// `sm`/`core` locate the issuing thread; `space` and `flags` pick the
     /// path. Returns where the load was serviced and the end-to-end
     /// latency. Missing levels on the path allocate the accessed sector
     /// (unless `flags.bypass_all`).
-    ///
-    /// The route — which physical instances to try, in what order, at what
-    /// latency — depends only on `(sm, core, space, flags)`, never on the
-    /// address or the cache contents, so it is resolved once and memoized;
-    /// the per-load work is then just the cache lookups themselves. A hit
-    /// at level *n* only ever touches levels `1..=n`, exactly like the
-    /// original nested walk: deeper levels are not consulted and do not
-    /// allocate.
     #[inline]
     pub fn load(
         &mut self,
@@ -421,34 +307,31 @@ impl MemorySubsystem {
         flags: LoadFlags,
         addr: u64,
     ) -> LoadResolution {
-        debug_assert!(sm < self.num_sms, "SM {sm} out of range");
-        let key = RouteKey {
-            sm: sm as u32,
-            core: core as u32,
-            space,
-            flags,
-        };
-        let route = match &self.route_memo {
-            Some((k, route)) if *k == key => *route,
-            _ => {
-                let route = self.resolve_route(sm, core, space, flags);
-                self.route_memo = Some((key, route));
-                route
-            }
-        };
-        // Translate before the cache walk. Scratchpad spaces are
-        // driver-managed physical windows and skip the TLB entirely; the
-        // walk penalty rides on top of whatever level services the load,
-        // which keeps the memoized route a pure function of the key.
-        let tlb_penalty = if matches!(space, MemorySpace::Shared | MemorySpace::Lds) {
-            0
-        } else {
+        let route = self.route(sm, core, space, flags);
+        self.load_via(&route, sm, addr)
+    }
+
+    /// Walks `route` for one load of `addr` issued from `sm`, which must
+    /// be the SM the route was resolved for.
+    ///
+    /// The address translates first, when the route does; the walk
+    /// penalty rides on top of whatever level services the load. A hit
+    /// at level *n* only ever touches levels `1..=n`: deeper levels are
+    /// not consulted and do not allocate.
+    #[inline]
+    pub(crate) fn load_via(&mut self, route: &Route, sm: usize, addr: u64) -> LoadResolution {
+        let tlb_penalty = if route.translates {
             self.translate(sm, addr)
+        } else {
+            0
         };
         for step in route.steps.iter().flatten() {
-            if self.cache_mut(step.cache).access(addr).is_hit() {
+            if self.levels[step.level].caches[step.instance]
+                .access(addr)
+                .is_hit()
+            {
                 return LoadResolution {
-                    level: step.level,
+                    level: step.kind,
                     latency: step.latency + tlb_penalty,
                     first_level_hit: step.first_level_hit,
                 };
@@ -460,182 +343,129 @@ impl MemorySubsystem {
         }
     }
 
-    /// The physical cache instance a [`CacheRef`] names.
-    #[inline]
-    fn cache_mut(&mut self, r: CacheRef) -> &mut SectoredCache {
-        match r {
-            CacheRef::L1(i) => &mut self.l1[i as usize],
-            CacheRef::Tex(i) => &mut self.tex[i as usize],
-            CacheRef::Ro(i) => &mut self.ro[i as usize],
-            CacheRef::ConstL1(i) => &mut self.const_l1[i as usize],
-            CacheRef::ConstL15 => self.const_l15.as_mut().expect("route implies CL1.5"),
-            CacheRef::Vl1(i) => &mut self.vl1[i as usize],
-            CacheRef::Sl1d(i) => &mut self.sl1d[i as usize],
-            CacheRef::L2(i) => &mut self.l2[i as usize],
-            CacheRef::L3 => self.l3.as_mut().expect("route implies L3"),
-        }
-    }
-
-    /// Resolves the load path for `(sm, core, space, flags)` — the slow
-    /// part of the original per-load walk, now executed only on a memo
-    /// miss.
-    fn resolve_route(&self, sm: usize, core: usize, space: MemorySpace, flags: LoadFlags) -> Route {
-        if matches!(space, MemorySpace::Shared | MemorySpace::Lds) {
-            return Route {
-                steps: [None; 3],
-                terminal: LoadResolution {
-                    level: if self.vendor == Vendor::Nvidia {
-                        CacheKind::SharedMemory
-                    } else {
-                        CacheKind::Lds
-                    },
-                    latency: self.scratch_latency,
-                    first_level_hit: true,
-                },
-            };
-        }
-        let dram = LoadResolution {
-            level: CacheKind::DeviceMemory,
-            latency: self.dram_latency,
-            first_level_hit: false,
-        };
-        let mut steps: [Option<PathStep>; 3] = [None; 3];
+    /// Resolves the route of a load issued from (`sm`, `core`) through
+    /// `space` with `flags`: which instances it tries, in what order, and
+    /// what a hit at each reports.
+    pub(crate) fn route(
+        &self,
+        sm: usize,
+        core: usize,
+        space: MemorySpace,
+        flags: LoadFlags,
+    ) -> Route {
+        debug_assert!(sm < self.num_sms, "SM {sm} out of range");
+        let mut steps: [Option<Step>; 3] = [None; 3];
         let mut n = 0usize;
-        let mut push = |step: PathStep| {
-            steps[n] = Some(step);
-            n += 1;
+        let mut push = |step: Option<Step>| {
+            if step.is_some() {
+                steps[n] = step;
+                n += 1;
+            }
         };
+        let l2 = self.l2_segment_of_sm[sm];
         match space {
-            MemorySpace::Shared | MemorySpace::Lds => unreachable!("handled above"),
+            MemorySpace::Shared | MemorySpace::Lds => {
+                return Route {
+                    steps: [None; 3],
+                    translates: false,
+                    terminal: LoadResolution {
+                        level: if self.vendor == Vendor::Nvidia {
+                            CacheKind::SharedMemory
+                        } else {
+                            CacheKind::Lds
+                        },
+                        latency: self.scratch_latency,
+                        first_level_hit: true,
+                    },
+                }
+            }
             _ if flags.bypass_all => {}
             MemorySpace::Constant => {
                 debug_assert_eq!(self.vendor, Vendor::Nvidia);
-                if let Some(spec) = self.const_l1_spec {
-                    push(PathStep {
-                        cache: CacheRef::ConstL1(sm as u32),
-                        level: CacheKind::ConstL1,
-                        latency: spec.load_latency,
-                        first_level_hit: true,
-                    });
-                }
-                if let (Some(spec), Some(_)) = (self.const_l15_spec, self.const_l15.as_ref()) {
-                    push(PathStep {
-                        cache: CacheRef::ConstL15,
-                        level: CacheKind::ConstL15,
-                        latency: spec.load_latency,
-                        first_level_hit: false,
-                    });
-                }
-                if let Some(spec) = self.l2_spec {
-                    push(PathStep {
-                        cache: CacheRef::L2(self.l2_segment_of_sm[sm] as u32),
-                        level: CacheKind::L2,
-                        latency: spec.load_latency,
-                        first_level_hit: false,
-                    });
-                }
+                push(self.step(CacheKind::ConstL1, sm, true));
+                push(self.step(CacheKind::ConstL15, 0, false));
+                push(self.step(CacheKind::L2, l2, false));
             }
             MemorySpace::Global | MemorySpace::Texture | MemorySpace::Readonly => {
                 debug_assert_eq!(self.vendor, Vendor::Nvidia);
                 // L1-level: either the unified L1 instance or a dedicated
                 // texture/readonly instance, unless bypassed with `.cg`.
                 if !flags.bypass_l1 {
-                    let (cache, spec, kind) = match space {
-                        MemorySpace::Texture if self.tex_spec.is_some() => (
-                            CacheRef::Tex(sm as u32),
-                            self.tex_spec.as_ref().unwrap(),
-                            CacheKind::Texture,
-                        ),
-                        MemorySpace::Readonly if self.ro_spec.is_some() => (
-                            CacheRef::Ro(sm as u32),
-                            self.ro_spec.as_ref().unwrap(),
-                            CacheKind::Readonly,
-                        ),
-                        _ => {
-                            let idx = self.l1_instance(sm, core);
-                            let kind = match space {
-                                MemorySpace::Texture => CacheKind::Texture,
-                                MemorySpace::Readonly => CacheKind::Readonly,
-                                _ => CacheKind::L1,
-                            };
-                            (
-                                CacheRef::L1(idx as u32),
-                                self.l1_spec.as_ref().unwrap(),
-                                kind,
-                            )
-                        }
-                    };
-                    // On the unified cache, texture/readonly paths have
-                    // their own (slightly different) measured latencies.
-                    let latency = match (space, kind) {
-                        (MemorySpace::Texture, CacheKind::Texture) => {
-                            self.unified_tex_latency.unwrap_or(spec.load_latency)
-                        }
-                        (MemorySpace::Readonly, CacheKind::Readonly) => {
-                            self.unified_ro_latency.unwrap_or(spec.load_latency)
-                        }
-                        _ => spec.load_latency,
-                    };
-                    push(PathStep {
-                        cache,
-                        level: kind,
-                        latency,
-                        first_level_hit: true,
-                    });
+                    push(self.l1_step(sm, core, space));
                 }
-                if let Some(spec) = self.l2_spec {
-                    push(PathStep {
-                        cache: CacheRef::L2(self.l2_segment_of_sm[sm] as u32),
-                        level: CacheKind::L2,
-                        latency: spec.load_latency,
-                        // With `.cg` the L2 is the first level of the path.
-                        first_level_hit: flags.bypass_l1,
-                    });
-                }
+                // With `.cg` the L2 is the first level of the path.
+                push(self.step(CacheKind::L2, l2, flags.bypass_l1));
             }
             MemorySpace::Vector | MemorySpace::Scalar => {
                 debug_assert_eq!(self.vendor, Vendor::Amd);
                 if !flags.bypass_l1 {
-                    if space == MemorySpace::Vector {
-                        if let Some(spec) = self.vl1_spec {
-                            push(PathStep {
-                                cache: CacheRef::Vl1(sm as u32),
-                                level: CacheKind::VL1,
-                                latency: spec.load_latency,
-                                first_level_hit: true,
-                            });
-                        }
-                    } else if let Some(spec) = self.sl1d_spec {
-                        push(PathStep {
-                            cache: CacheRef::Sl1d(self.sl1d_group_of_cu[sm] as u32),
-                            level: CacheKind::SL1D,
-                            latency: spec.load_latency,
-                            first_level_hit: true,
-                        });
-                    }
-                }
-                if let Some(spec) = self.l2_spec {
-                    push(PathStep {
-                        cache: CacheRef::L2(self.l2_segment_of_sm[sm] as u32),
-                        level: CacheKind::L2,
-                        latency: spec.load_latency,
-                        first_level_hit: false,
+                    push(if space == MemorySpace::Vector {
+                        self.step(CacheKind::VL1, sm, true)
+                    } else {
+                        self.step(CacheKind::SL1D, self.sl1d_group_of_cu[sm], true)
                     });
                 }
-                if let (Some(spec), Some(_)) = (self.l3_spec, self.l3.as_ref()) {
-                    push(PathStep {
-                        cache: CacheRef::L3,
-                        level: CacheKind::L3,
-                        latency: spec.load_latency,
-                        first_level_hit: false,
-                    });
-                }
+                push(self.step(CacheKind::L2, l2, false));
+                push(self.step(CacheKind::L3, 0, false));
             }
         }
         Route {
             steps,
-            terminal: dram,
+            translates: true,
+            terminal: LoadResolution {
+                level: CacheKind::DeviceMemory,
+                latency: self.dram_latency,
+                first_level_hit: false,
+            },
         }
+    }
+
+    /// The route step that tries instance `instance` of the `kind` level
+    /// and reports a hit there as `kind` at the level's planted latency;
+    /// `None` when the device has no such instance.
+    fn step(&self, kind: CacheKind, instance: usize, first_level_hit: bool) -> Option<Step> {
+        let level = self
+            .levels
+            .iter()
+            .position(|l| l.kind == kind && instance < l.caches.len())?;
+        Some(Step {
+            level,
+            instance,
+            kind,
+            latency: self.levels[level].latency,
+            first_level_hit,
+        })
+    }
+
+    /// The L1-level step of an NVIDIA global, texture or read-only load: a
+    /// dedicated per-SM texture or read-only instance when the device has
+    /// one, else the issuing core's unified L1 instance. On the unified
+    /// cache the texture and read-only paths still report their own kind
+    /// at their own planted latency (they differ slightly on real silicon:
+    /// H100 measures 38/39/35 cycles for L1/TEX/RO).
+    fn l1_step(&self, sm: usize, core: usize, space: MemorySpace) -> Option<Step> {
+        let kind = match space {
+            MemorySpace::Texture => CacheKind::Texture,
+            MemorySpace::Readonly => CacheKind::Readonly,
+            _ => CacheKind::L1,
+        };
+        let dedicated = match kind {
+            CacheKind::L1 => None,
+            _ => self.step(kind, sm, true),
+        };
+        dedicated.or_else(|| {
+            let l1 = self.step(CacheKind::L1, self.l1_instance(sm, core), true)?;
+            let latency = self
+                .levels
+                .iter()
+                .find(|l| l.kind == kind)
+                .map_or(l1.latency, |l| l.latency);
+            Some(Step {
+                kind,
+                latency,
+                ..l1
+            })
+        })
     }
 }
 
@@ -890,6 +720,73 @@ mod tests {
                     p * 65536,
                 );
                 assert_eq!(r.latency, l2_lat, "a ring at reach never pays");
+            }
+        }
+    }
+
+    /// Every level's instance count follows from the topology alone: L1
+    /// = SMs × `amount_per_sm` (NVIDIA); Texture and Readonly = SMs, but
+    /// only when not unified with L1; ConstL1 = SMs; CL1.5 = 1; VL1 = CUs
+    /// (AMD); sL1d = the sL1d groups with an active CU; L2 = segments;
+    /// L3 = 1. Checked on every registry preset, its hostile realization,
+    /// an A100 `mig:2g.10gb` slice, and a split-L1 H100 (two L1 instances
+    /// per SM, texture and read-only caches of their own) that no preset
+    /// plants.
+    #[test]
+    fn level_instance_counts_follow_the_topology() {
+        use crate::scenario::{hostile_variant, Scenario};
+        let mut configs = Vec::new();
+        for entry in presets::Registry::global().entries() {
+            configs.push(entry.gpu().config);
+            configs.push(hostile_variant(entry.gpu()).config);
+        }
+        let mig = Scenario::parse("mig:2g.10gb").unwrap();
+        configs.push(mig.apply_config(&presets::a100().config).unwrap());
+        let mut split = presets::h100_80().config;
+        split.sharing.l1_tex_ro_unified = false;
+        for (kind, spec) in &mut split.caches {
+            if *kind == CacheKind::L1 {
+                spec.amount_per_sm = Some(2);
+            }
+        }
+        configs.push(split);
+
+        for cfg in &configs {
+            let mem = MemorySubsystem::new(cfg);
+            let sms = cfg.chip.num_sms as usize;
+            let nvidia = cfg.vendor == Vendor::Nvidia;
+            let separate = !cfg.sharing.l1_tex_ro_unified;
+            let sl1d_groups = cfg.cu_layout.as_ref().map_or(0, |layout| {
+                (0..sms)
+                    .map(|cu| layout.sl1d_group_of(cu))
+                    .collect::<std::collections::BTreeSet<_>>()
+                    .len()
+            });
+            for kind in [
+                CacheKind::L1,
+                CacheKind::Texture,
+                CacheKind::Readonly,
+                CacheKind::ConstL1,
+                CacheKind::ConstL15,
+                CacheKind::VL1,
+                CacheKind::SL1D,
+                CacheKind::L2,
+                CacheKind::L3,
+            ] {
+                let expected = match (kind, cfg.cache(kind)) {
+                    (_, None) => 0,
+                    (CacheKind::L1, Some(spec)) if nvidia => {
+                        sms * spec.amount_per_sm.unwrap_or(1).max(1) as usize
+                    }
+                    (CacheKind::Texture | CacheKind::Readonly, _) if separate => sms,
+                    (CacheKind::ConstL1, _) => sms,
+                    (CacheKind::VL1, _) if !nvidia => sms,
+                    (CacheKind::SL1D, _) => sl1d_groups,
+                    (CacheKind::L2, Some(spec)) => spec.segments.max(1) as usize,
+                    (CacheKind::ConstL15 | CacheKind::L3, _) => 1,
+                    _ => 0,
+                };
+                assert_eq!(mem.instances(kind), expected, "{} {kind:?}", cfg.name);
             }
         }
     }

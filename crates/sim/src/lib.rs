@@ -5,11 +5,14 @@
 //! against planted ground truth — without hardware. It simulates exactly
 //! the mechanisms the paper's microbenchmarks exploit:
 //!
-//! * [`cache`] — sectored set-associative caches with LRU replacement
-//!   (capacity cliffs, sector misses, stride aliasing, mutual eviction),
-//! * [`hierarchy`] — physical cache instances and the per-memory-space
-//!   routing of both vendors (unified NVIDIA L1/TEX/RO, constant L1/L1.5,
-//!   segmented L2; AMD vL1 / CU-group-shared sL1d / per-XCD L2 / L3),
+//! * [`cache`] — sectored caches, fully associative in every preset, with
+//!   exact LRU unless a preset plants another replacement policy
+//!   (capacity cliffs, sector misses, mutual eviction); a per-set model
+//!   serves the 2-way set-associative pointer-chase demo of Fig. 1,
+//! * [`hierarchy`] — one table of physical cache levels and the
+//!   per-memory-space routing of both vendors (unified NVIDIA L1/TEX/RO,
+//!   constant L1/L1.5, segmented L2; AMD vL1 / CU-group-shared sL1d /
+//!   per-XCD L2 / L3), resolved into a route value per load or p-chase,
 //! * [`isa`] + [`gpu`] — a mini kernel ISA mirroring the paper's PTX and
 //!   AMDGCN listings, executed with a cycle clock and a measurement
 //!   [`noise`] model,

@@ -113,7 +113,9 @@ pub(crate) enum TlbAccess {
 }
 
 /// One runtime TLB level: set-indexed recency lists plus the set of pages
-/// ever installed (for the free-first-touch rule).
+/// ever installed (for the free-first-touch rule). A chase's repeat
+/// translations of one page from one SM never get here: the memory
+/// subsystem's `(sm, page)` memo answers them.
 #[derive(Debug)]
 pub(crate) struct Tlb {
     ways: usize,
@@ -126,11 +128,6 @@ pub(crate) struct Tlb {
     /// membership is all the free-first-touch rule needs, and the
     /// workspace-wide `det-hash` lint bans std hash containers.
     seen: std::collections::BTreeSet<u64>,
-    /// Micro-memo for the hot path: the last page looked up, which is by
-    /// construction resident and most-recent. Sequential p-chases re-touch
-    /// one page tens of thousands of times in a row, so this one compare
-    /// keeps translation off the per-load critical path.
-    last_page: u64,
 }
 
 impl Tlb {
@@ -148,27 +145,21 @@ impl Tlb {
             num_sets: entries / ways,
             sets: vec![Vec::new(); entries / ways],
             seen: std::collections::BTreeSet::new(),
-            last_page: u64::MAX,
         }
     }
 
     /// Looks a page up, updating recency and installing it on a miss.
     pub(crate) fn access(&mut self, page: u64) -> TlbAccess {
-        if page == self.last_page {
-            return TlbAccess::Hit;
-        }
         let set = &mut self.sets[(page % self.num_sets as u64) as usize];
         if let Some(pos) = set.iter().position(|&p| p == page) {
             set.remove(pos);
             set.push(page);
-            self.last_page = page;
             return TlbAccess::Hit;
         }
         if set.len() == self.ways {
             set.remove(0); // least-recent way
         }
         set.push(page);
-        self.last_page = page;
         if self.seen.insert(page) {
             TlbAccess::FirstTouch
         } else {
@@ -184,7 +175,6 @@ impl Tlb {
             set.clear();
         }
         self.seen.clear();
-        self.last_page = u64::MAX;
     }
 }
 

@@ -412,3 +412,118 @@ proptest! {
         }
     }
 }
+
+// --- the translation shortcuts vs. a naive two-level TLB model ---
+
+use mt4g_sim::device::CacheKind;
+use mt4g_sim::hierarchy::MemorySubsystem;
+use mt4g_sim::tlb::TlbSpec;
+use std::collections::BTreeSet;
+
+/// Page size of the small test TLB: 4-entry L1 TLBs behind an 8-entry
+/// L2 TLB, as in the hierarchy's own TLB unit tests.
+const TLB_PAGE: u64 = 65536;
+const TLB_SPEC: TlbSpec = TlbSpec::fully_associative(TLB_PAGE, 4, 50, 8, 400);
+
+/// The naive translation model: a per-SM L1 TLB LRU list, one shared L2
+/// TLB LRU list (most recent last), and the pages each has installed
+/// since the last flush. A load's walk penalty follows the free
+/// first-touch rule: an L1 hit costs nothing; an L1 miss consults the
+/// L2 TLB; a page this SM never installed is free; a re-miss pays the
+/// L1 penalty when the L2 TLB holds the page and the full walk when it
+/// does not.
+struct NaiveTlb {
+    l1: Vec<Vec<u64>>,
+    l1_seen: Vec<BTreeSet<u64>>,
+    l2: Vec<u64>,
+    l2_seen: BTreeSet<u64>,
+}
+
+impl NaiveTlb {
+    fn new(sms: usize) -> NaiveTlb {
+        NaiveTlb {
+            l1: vec![Vec::new(); sms],
+            l1_seen: vec![BTreeSet::new(); sms],
+            l2: Vec::new(),
+            l2_seen: BTreeSet::new(),
+        }
+    }
+
+    /// Touches `page` in an LRU list of `capacity` entries; returns
+    /// whether it was resident.
+    fn touch(list: &mut Vec<u64>, capacity: u32, page: u64) -> bool {
+        let resident = match list.iter().position(|&p| p == page) {
+            Some(pos) => {
+                list.remove(pos);
+                true
+            }
+            None => {
+                if list.len() == capacity as usize {
+                    list.remove(0);
+                }
+                false
+            }
+        };
+        list.push(page);
+        resident
+    }
+
+    fn penalty(&mut self, sm: usize, page: u64) -> u32 {
+        if Self::touch(&mut self.l1[sm], TLB_SPEC.l1.entries, page) {
+            return 0;
+        }
+        let l2_hit = Self::touch(&mut self.l2, TLB_SPEC.l2.entries, page);
+        let l2_first = self.l2_seen.insert(page);
+        if self.l1_seen[sm].insert(page) {
+            return 0;
+        }
+        match (l2_hit, l2_first) {
+            (true, _) => TLB_SPEC.l1.miss_penalty_cycles,
+            (false, false) => TLB_SPEC.l2.miss_penalty_cycles,
+            (false, true) => 0,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The subsystem's translation shortcuts change no walk penalty:
+    /// streams of `.cg` loads on T1000 — runs of repeats on one page,
+    /// SMs interleaved over a page set larger than both TLB reaches, and
+    /// whole-hierarchy flushes — pay exactly the naive model's penalty
+    /// on every load. The penalty is the load's latency minus the
+    /// planted latency of the level that serviced it. A shortcut keyed
+    /// on the page alone lets one SM's repeat skip another SM's TLB and
+    /// fails here.
+    #[test]
+    fn translation_shortcuts_match_a_naive_two_level_tlb(
+        ops in proptest::collection::vec((0u8..24, 0usize..3, 0u64..12, 1u64..5), 1..300),
+    ) {
+        let mut cfg = presets::t1000().config;
+        cfg.tlb = Some(TLB_SPEC);
+        let planted = |level: CacheKind| match level {
+            CacheKind::L2 => cfg.cache(CacheKind::L2).unwrap().load_latency,
+            CacheKind::DeviceMemory => cfg.dram.load_latency,
+            other => panic!("a .cg load serviced by {other:?}"),
+        };
+        let mut mem = MemorySubsystem::new(&cfg);
+        let mut naive = NaiveTlb::new(3);
+        for (i, &(pick, sm, page, repeats)) in ops.iter().enumerate() {
+            if pick == 0 {
+                mem.flush_all();
+                naive = NaiveTlb::new(3);
+                continue;
+            }
+            for r in 0..repeats {
+                let addr = page * TLB_PAGE + r * 4096;
+                let res = mem.load(sm, 0, MemorySpace::Global, LoadFlags::CACHE_GLOBAL, addr);
+                prop_assert_eq!(
+                    res.latency - planted(res.level),
+                    naive.penalty(sm, page),
+                    "op {} (sm {}, page {}, repeat {})", i, sm, page, r
+                );
+            }
+        }
+    }
+}

@@ -6,15 +6,18 @@
 //! complete statistical evaluation pipeline can run — and be validated
 //! against planted ground truth — on any machine, without GPU hardware.
 //!
-//! The workspace is organised as five library crates, four of them
-//! re-exported here (the fifth, `mt4g_bench`, holds the paper's
-//! table/figure harnesses):
+//! The workspace is organised as six library crates, four of them
+//! re-exported here (`mt4g_bench` holds the paper's table/figure
+//! harnesses, and `mt4g-lint` statically checks the workspace's
+//! determinism invariants):
 //!
 //! * [`stats`] — Kolmogorov–Smirnov testing (Eq. 1), change-point
 //!   detection, the geometric reduction of Eq. (2), outlier handling.
-//! * [`sim`] — the GPU simulator: sectored set-associative caches, memory
-//!   spaces, a mini kernel ISA with a cycle clock, vendor API emulation, and
-//!   presets for the ten GPUs of the paper's Table II.
+//! * [`sim`] — the GPU simulator: sectored fully-associative caches with
+//!   planted replacement policies, memory spaces, a mini kernel ISA with a
+//!   cycle clock, vendor API emulation, and a registry of 16 presets: the
+//!   ten GPUs of the paper's Table II plus Blackwell, RDNA and hostile
+//!   variants.
 //! * [`core`] — the MT4G tool itself: the p-chase engine, all benchmark
 //!   families of Section IV, the plan/execute/merge discovery suite
 //!   (`--jobs` / `--shard` / `mt4g merge`), and the report model.
