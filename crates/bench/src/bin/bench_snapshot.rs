@@ -17,6 +17,11 @@
 //! that regresses past its slack, or a floor that does not hold, fails
 //! the job. The `suite_wallclock/*` entries are recorded, never gated.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "benchmark snapshot harness: wall clock is the measurement"
+)]
+
 use std::hint::black_box;
 use std::time::Instant;
 

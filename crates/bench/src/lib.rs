@@ -20,8 +20,6 @@
 //! by default — deterministically, so regenerated tables never depend on
 //! the machine's core count.
 
-#![deny(missing_docs)]
-
 use mt4g_core::report::Report;
 use mt4g_core::suite::{normalize_report, run_discovery, DiscoveryConfig};
 use mt4g_sim::device::CacheKind;

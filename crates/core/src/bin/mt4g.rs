@@ -47,11 +47,11 @@
 //! byte-interchangeable: a serve cache hit returns exactly the bytes a
 //! batch run prints.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::path::PathBuf;
 
 use mt4g_core::report;
-use mt4g_core::serve::{Flow, ServeEngine, ServeOptions};
+use mt4g_core::serve::{ServeEngine, ServeOptions};
 use mt4g_core::suite::{
     merge_partials, normalize_report, partial_from_json, JobResult, JobSpec, Selection,
 };
@@ -578,27 +578,9 @@ fn run_serve_mode(args: &Args) {
             }
         }
     });
-    let stdin = std::io::stdin();
-    let mut reader = stdin.lock();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // EOF: graceful drain
-            Ok(_) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                if engine.handle_line(trimmed) == Flow::Shutdown {
-                    break;
-                }
-            }
-            Err(e) => {
-                eprintln!("mt4g: stdin read failed: {e}");
-                break;
-            }
-        }
+    // Returns on EOF or a `shutdown` request; either way, drain.
+    if let Err(e) = engine.read_requests(std::io::stdin().lock()) {
+        eprintln!("mt4g: stdin read failed: {e}");
     }
     let stats = engine.shutdown();
     let _ = writer.join();
@@ -619,8 +601,9 @@ extern "C" {
 }
 
 /// SIGTERM handler for serve mode. glibc's `signal()` installs handlers
-/// with SA_RESTART, and std retries `ErrorKind::Interrupted`, so a
-/// flag-checking handler cannot wake a thread blocked in `read_line` —
+/// with SA_RESTART, and the request reader retries
+/// `ErrorKind::Interrupted`, so a flag-checking handler cannot wake a
+/// thread blocked reading stdin —
 /// the daemon would only notice the signal at the *next* request. The
 /// handler instead exits directly, which is async-signal-safe (`write` +
 /// `_exit` only) and clean by construction: the response writer flushes

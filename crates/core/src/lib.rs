@@ -49,8 +49,6 @@
 //! assert!(json.contains("\"L1\""));
 //! ```
 
-#![deny(missing_docs)]
-
 pub mod benchmarks;
 pub mod classify;
 pub mod lookup;

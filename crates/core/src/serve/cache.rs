@@ -21,9 +21,9 @@
 //! (hundreds of cells), so recency is tracked with a monotonic tick and
 //! the victim found by a linear scan on insert — no intrusive list needed
 //! at this scale. The map is a `BTreeMap` rather than a hash map so that
-//! the victim scan iterates in a deterministic order (`mt4g-lint`'s
-//! `det-hash` rule bans std hash containers workspace-wide: their
-//! iteration order is randomized per process and per build).
+//! the victim scan iterates in a deterministic order (the workspace's
+//! `clippy.toml` bans std hash containers: their iteration order is
+//! randomized per process and per build).
 //!
 //! [`Job::cell`]: crate::suite::Job::cell
 

@@ -22,6 +22,7 @@
 //! response.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -182,8 +183,9 @@ impl SharedQueue {
 
 /// The serve engine: admission queue + worker pool + result cache.
 ///
-/// Feed request lines with [`handle_line`](Self::handle_line) (or parsed
-/// [`Request`]s with [`handle_request`](Self::handle_request)); read
+/// Feed a byte stream with [`read_requests`](Self::read_requests), request
+/// lines with [`handle_line`](Self::handle_line), or parsed [`Request`]s
+/// with [`handle_request`](Self::handle_request); read
 /// [`Response`]s from the channel returned by [`new`](Self::new). The
 /// engine is the *entire* daemon logic — the `mt4g serve` subcommand is
 /// just stdin/stdout plumbing around it, which is what lets the tests and
@@ -254,18 +256,7 @@ impl ServeEngine {
     /// burn CPU on garbage.
     pub fn handle_line(&mut self, line: &str) -> Flow {
         if line.len() > MAX_LINE_BYTES {
-            self.requests += 1;
-            self.bad_requests += 1;
-            self.respond(Response::error(
-                0,
-                ErrorBody::new(
-                    "bad_request",
-                    format!(
-                        "request line of {} bytes exceeds the {MAX_LINE_BYTES}-byte limit",
-                        line.len()
-                    ),
-                ),
-            ));
+            self.reject_oversized(line.len());
             return Flow::Continue;
         }
         match parse_request(line) {
@@ -277,6 +268,50 @@ impl ServeEngine {
                 Flow::Continue
             }
         }
+    }
+
+    /// Feeds the lines of `input` to [`handle_line`](Self::handle_line)
+    /// until end of input or a `shutdown` request; blank lines are
+    /// skipped. At most [`MAX_LINE_BYTES`] + 1 bytes of a line are ever
+    /// held, so an oversized line is answered from its counted length
+    /// and its remainder is skipped unstored. A line that is not UTF-8
+    /// gets a `bad_request` error too. Only an I/O error on `input`
+    /// stops the loop early.
+    pub fn read_requests(&mut self, mut input: impl BufRead) -> std::io::Result<()> {
+        let mut line = Vec::new();
+        while let Some(len) = read_bounded_line(&mut input, &mut line)? {
+            let flow = if len > MAX_LINE_BYTES {
+                self.reject_oversized(len);
+                Flow::Continue
+            } else {
+                match std::str::from_utf8(&line).map(str::trim) {
+                    Ok("") => Flow::Continue,
+                    Ok(text) => self.handle_line(text),
+                    Err(e) => {
+                        self.reject_line(format!("request line is not UTF-8: {e}"));
+                        Flow::Continue
+                    }
+                }
+            };
+            if flow == Flow::Shutdown {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    fn reject_oversized(&mut self, len: usize) {
+        self.reject_line(format!(
+            "request line of {len} bytes exceeds the {MAX_LINE_BYTES}-byte limit"
+        ));
+    }
+
+    /// Answers a line that is not even parsed (too long, not text) with
+    /// an uncorrelated `bad_request` error.
+    fn reject_line(&mut self, message: String) {
+        self.requests += 1;
+        self.bad_requests += 1;
+        self.respond(Response::error(0, ErrorBody::new("bad_request", message)));
     }
 
     /// Handles one parsed request.
@@ -312,6 +347,10 @@ impl ServeEngine {
     /// Validates, resolves, and either answers from the cache or admits a
     /// recompute.
     fn submit_discover(&mut self, req: &Request) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "job queue latency accounting for `stats`; not part of any discovery report"
+        )]
         let t0 = Instant::now();
         let spec = match req.to_spec(self.opts.job_threads) {
             Ok(spec) => spec,
@@ -328,6 +367,7 @@ impl ServeEngine {
                 let code = match err {
                     crate::suite::JobError::UnknownPreset { .. } => "unknown_preset",
                     crate::suite::JobError::Scenario(_) => "bad_scenario",
+                    crate::suite::JobError::ElementNotOnDevice { .. } => "bad_element",
                 };
                 self.respond(Response::error(req.id, ErrorBody::new(code, err)));
                 return;
@@ -428,6 +468,37 @@ impl Drop for ServeEngine {
         self.queue.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
+        }
+    }
+}
+
+/// Reads the next line of `input` into `line` without its `\n`, storing
+/// at most [`MAX_LINE_BYTES`] + 1 bytes of it. Returns the line's full
+/// length, or `None` at end of input.
+fn read_bounded_line(
+    input: &mut impl BufRead,
+    line: &mut Vec<u8>,
+) -> std::io::Result<Option<usize>> {
+    line.clear();
+    let mut len = 0;
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok((len > 0).then_some(len));
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let part = &chunk[..newline.unwrap_or(chunk.len())];
+        let room = (MAX_LINE_BYTES + 1).saturating_sub(line.len());
+        line.extend_from_slice(&part[..part.len().min(room)]);
+        len += part.len();
+        let consumed = part.len() + usize::from(newline.is_some());
+        input.consume(consumed);
+        if newline.is_some() {
+            return Ok(Some(len));
         }
     }
 }

@@ -23,6 +23,7 @@
 //! [`JobOutput::bytes`] verbatim, so a cache hit and a cold CLI run are
 //! byte-interchangeable.
 
+use mt4g_sim::device::CacheKind;
 use mt4g_sim::gpu::Gpu;
 use mt4g_sim::presets::Registry;
 use mt4g_sim::scenario::{Scenario, ScenarioError};
@@ -31,7 +32,8 @@ use crate::report::Report;
 
 use super::plan::DiscoveryPlan;
 use super::{
-    normalize_report, partial_to_json, run_discovery, run_shard, DiscoveryConfig, PartialReport,
+    expected_elements, normalize_report, partial_to_json, run_discovery, run_shard,
+    DiscoveryConfig, PartialReport,
 };
 
 /// Which slice of the discovery plan a job covers.
@@ -82,6 +84,15 @@ pub enum JobError {
     },
     /// The scenario cannot apply to the resolved device.
     Scenario(ScenarioError),
+    /// `only` names an element the resolved device does not report.
+    ElementNotOnDevice {
+        /// The requested element.
+        element: CacheKind,
+        /// Name of the resolved device.
+        device: String,
+        /// The elements the device reports, in Table I order.
+        elements: Vec<CacheKind>,
+    },
 }
 
 impl std::fmt::Display for JobError {
@@ -95,6 +106,20 @@ impl std::fmt::Display for JobError {
                 Registry::global().known_names()
             ),
             JobError::Scenario(e) => write!(f, "{e}"),
+            JobError::ElementNotOnDevice {
+                element,
+                device,
+                elements,
+            } => write!(
+                f,
+                "{device} has no {} element; its elements are: {}",
+                element.label(),
+                elements
+                    .iter()
+                    .map(|k| k.label())
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ),
         }
     }
 }
@@ -110,9 +135,10 @@ impl From<ScenarioError> for JobError {
 impl JobSpec {
     /// Resolves the spec against the preset registry: realizes the
     /// scenario on the named device and plans the run. Fails on unknown
-    /// presets and inapplicable scenarios (e.g. MIG on AMD) — the two
-    /// error classes a serve front end must answer with a structured
-    /// response rather than a panic.
+    /// presets, inapplicable scenarios (e.g. MIG on AMD) and `only`
+    /// elements the device does not report (e.g. `vL1` on NVIDIA) — the
+    /// error classes a front end must answer with a structured response
+    /// rather than a panic or an empty report.
     pub fn resolve(self) -> Result<Job, JobError> {
         let entry = Registry::global()
             .get(&self.gpu)
@@ -120,8 +146,18 @@ impl JobSpec {
                 name: self.gpu.clone(),
             })?;
         let gpu = self.scenario.realize(entry.gpu())?;
+        let has_l3 = gpu.config.cache(CacheKind::L3).is_some();
+        if let Some(only) = &self.cfg.only {
+            let elements = expected_elements(gpu.vendor(), has_l3);
+            if let Some(&element) = only.iter().find(|k| !elements.contains(k)) {
+                return Err(JobError::ElementNotOnDevice {
+                    element,
+                    device: gpu.config.name.clone(),
+                    elements,
+                });
+            }
+        }
         let plan = DiscoveryPlan::new(&gpu, &self.cfg);
-        let has_l3 = gpu.config.cache(mt4g_sim::device::CacheKind::L3).is_some();
         Ok(Job {
             preset: entry.name,
             scenario: self.scenario,

@@ -243,8 +243,31 @@ impl DiscoveryPlan {
 /// noise model (two same-named devices under different scenario profiles
 /// measure differently), every config knob that changes measurements,
 /// and the unit enumeration itself.
+///
+/// The config is destructured without `..`, so a new `DiscoveryConfig`
+/// field does not compile (E0027) until it is either fingerprinted below
+/// or named here as measurement-neutral, with the reason.
 fn fingerprint(gpu: &Gpu, cfg: &DiscoveryConfig, units: &[PlanUnit]) -> String {
-    let only = match &cfg.only {
+    let DiscoveryConfig {
+        alpha,
+        record_n,
+        scan_points,
+        only,
+        cu_window,
+        measure_bandwidth,
+        measure_flops,
+        measure_tlb,
+        measure_contention,
+        measure_policy,
+        // Stderr tracing only; never changes a measurement.
+        debug: _,
+        // Stderr wall-clock lines only; never changes a measurement.
+        timings: _,
+        // Parallelism degree; byte identity across --jobs is itself a
+        // tested invariant.
+        jobs: _,
+    } = cfg;
+    let only = match only {
         None => "all".to_string(),
         Some(kinds) => kinds
             .iter()
@@ -260,20 +283,12 @@ fn fingerprint(gpu: &Gpu, cfg: &DiscoveryConfig, units: &[PlanUnit]) -> String {
     format!(
         "v{PLAN_FORMAT}|{name}|seed={seed:#x}|quirks={quirks:?}|noise={noise:?}|alpha={alpha}|\
          record_n={record_n}|scan_points={scan_points}|only={only}|cu_window={cu_window}|\
-         bw={bw}|flops={flops}|tlb={tlb}|contention={contention}|policy={policy}|plan={labels}",
+         bw={measure_bandwidth}|flops={measure_flops}|tlb={measure_tlb}|\
+         contention={measure_contention}|policy={measure_policy}|plan={labels}",
         name = gpu.config.name,
         seed = gpu.base_seed(),
         quirks = gpu.config.quirks,
         noise = gpu.noise(),
-        alpha = cfg.alpha,
-        record_n = cfg.record_n,
-        scan_points = cfg.scan_points,
-        cu_window = cfg.cu_window,
-        bw = cfg.measure_bandwidth,
-        flops = cfg.measure_flops,
-        tlb = cfg.measure_tlb,
-        contention = cfg.measure_contention,
-        policy = cfg.measure_policy,
     )
 }
 
@@ -304,6 +319,45 @@ mod tests {
         assert_ne!(full.fingerprint(), fast.fingerprint());
         let amd = DiscoveryPlan::new(&presets::mi210(), &DiscoveryConfig::thorough());
         assert_ne!(full.fingerprint(), amd.fingerprint());
+    }
+
+    /// The exhaustive destructuring in `fingerprint` proves every knob is
+    /// bound; this proves each fingerprinted knob's *value* reaches the
+    /// string the serve cache and the shard merge trust, and that the
+    /// measurement-neutral knobs stay out of it.
+    #[test]
+    fn every_knob_value_reaches_the_fingerprint() {
+        let gpu = presets::t1000();
+        let base = DiscoveryConfig::fast();
+        let fp = |flip: fn(&mut DiscoveryConfig)| {
+            let mut cfg = base.clone();
+            flip(&mut cfg);
+            DiscoveryPlan::new(&gpu, &cfg).fingerprint().to_string()
+        };
+        let flips: [fn(&mut DiscoveryConfig); 11] = [
+            |_| {},
+            |c| c.alpha = 0.01,
+            |c| c.record_n += 1,
+            |c| c.scan_points += 1,
+            |c| c.only = Some(vec![CacheKind::L1]),
+            |c| c.cu_window += 1,
+            |c| c.measure_bandwidth ^= true,
+            |c| c.measure_flops ^= true,
+            |c| c.measure_tlb ^= true,
+            |c| c.measure_contention ^= true,
+            |c| c.measure_policy ^= true,
+        ];
+        let mut fps: Vec<String> = flips.into_iter().map(fp).collect();
+        fps.sort();
+        fps.dedup();
+        assert_eq!(fps.len(), 11, "a knob flip left the fingerprint unchanged");
+
+        let neutral = fp(|c| {
+            c.debug ^= true;
+            c.timings ^= true;
+            c.jobs += 3;
+        });
+        assert_eq!(neutral, fp(|_| {}), "a measurement-neutral knob moved it");
     }
 
     #[test]

@@ -67,6 +67,38 @@ fn only_run_emits_parseable_json() {
     assert_eq!(cl1.size.value(), Some(&2048));
 }
 
+/// `--only` with an element the device does not report is a usage error
+/// that lists the device's elements, not a report of empty rows.
+#[test]
+fn only_element_missing_from_the_device_fails_with_code_2() {
+    let nvidia = "L1, L2, Texture, Readonly, Const L1, Const L1.5, Shared Mem, Device Mem";
+    let mi210 = "vL1, sL1d, L2, LDS, Device Mem";
+    for (gpu, element, elements) in [
+        ("T1000", "vl1", nvidia),
+        ("MI210", "cl1", mi210),
+        ("MI210", "l3", mi210),
+    ] {
+        let out = mt4g()
+            .args(["--gpu", gpu, "--fast", "-q", "--only", element])
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{gpu} --only {element}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{gpu} --only {element} printed a report"
+        );
+        assert!(
+            stderr.contains(elements),
+            "{gpu} --only {element} must list {elements}: {stderr}"
+        );
+    }
+}
+
 /// The tier-1 smoke run: a full fast discovery on the T1000 preset must
 /// print one parseable JSON report on stdout, containing the discovered
 /// L1 row with measured size/latency attributes, and must be

@@ -150,6 +150,10 @@ fn engine_answers_malformed_requests_with_structured_errors() {
             r#"{"id":6,"op":"discover","gpu":"T1000","mode":"ludicrous"}"#,
             "bad_request",
         ),
+        (
+            r#"{"id":7,"op":"discover","gpu":"MI210","only":"cl1"}"#,
+            "bad_element",
+        ),
     ];
     for (line, want_code) in cases {
         assert_eq!(engine.handle_line(line), Flow::Continue, "{line}");
@@ -341,5 +345,57 @@ fn daemon_survives_adversarial_requests() {
     assert_eq!(stats.misses, 1);
     writeln!(stdin, "{{\"id\":10,\"op\":\"shutdown\"}}").unwrap();
     let _ = read_response(&mut stdout);
+    assert_eq!(child.wait().unwrap().code(), Some(0));
+}
+
+/// A line that is not UTF-8 gets a `bad_request` answer, and the daemon
+/// keeps serving the lines after it.
+#[test]
+fn daemon_answers_a_non_utf8_line_and_keeps_serving() {
+    let (mut child, mut stdin, mut stdout) = spawn_serve(&[]);
+    stdin
+        .write_all(
+            b"{\"id\":1,\"op\":\"stats\"}\n\xff\xfe\n\
+              {\"id\":3,\"op\":\"stats\"}\n{\"id\":4,\"op\":\"shutdown\"}\n",
+        )
+        .unwrap();
+    assert_eq!(read_response(&mut stdout).id, 1);
+    let err = read_response(&mut stdout);
+    assert_eq!(err.error.unwrap().code, "bad_request");
+    let stats = read_response(&mut stdout);
+    assert_eq!(stats.id, 3);
+    assert_eq!(stats.stats.unwrap().bad_requests, 1);
+    let ack = read_response(&mut stdout);
+    assert!(ack.ok && ack.id == 4);
+    assert_eq!(child.wait().unwrap().code(), Some(0));
+}
+
+/// A 64 MiB line is answered with `bad_request` without the daemon ever
+/// holding it: the reader keeps at most `MAX_LINE_BYTES + 1` bytes of a
+/// line, so the peak resident set stays far below the line's size.
+#[test]
+fn daemon_rejects_an_oversized_line_without_buffering_it() {
+    let (mut child, mut stdin, mut stdout) = spawn_serve(&[]);
+    let mib = vec![b'x'; 1 << 20];
+    for _ in 0..64 {
+        stdin.write_all(&mib).unwrap();
+    }
+    stdin.write_all(b"\n{\"id\":2,\"op\":\"stats\"}\n").unwrap();
+    let err = read_response(&mut stdout);
+    assert_eq!(err.error.unwrap().code, "bad_request");
+    let stats = read_response(&mut stdout);
+    assert_eq!(stats.id, 2);
+    assert_eq!(stats.stats.unwrap().bad_requests, 1);
+    if cfg!(target_os = "linux") {
+        let status = std::fs::read_to_string(format!("/proc/{}/status", child.id())).unwrap();
+        let hwm_kib: u64 = status
+            .lines()
+            .find_map(|l| l.strip_prefix("VmHWM:"))
+            .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+            .expect("VmHWM in /proc/<pid>/status");
+        assert!(hwm_kib < 32 * 1024, "daemon peak RSS {hwm_kib} KiB");
+    }
+    writeln!(stdin, r#"{{"id":3,"op":"shutdown"}}"#).unwrap();
+    assert!(read_response(&mut stdout).ok);
     assert_eq!(child.wait().unwrap().code(), Some(0));
 }

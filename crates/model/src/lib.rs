@@ -29,8 +29,6 @@
 //! discovery suite — including reports reassembled from CI shards with
 //! `mt4g merge`, which are byte-identical to single-process runs.
 
-#![deny(missing_docs)]
-
 pub mod gpuscout;
 pub mod hongkim;
 pub mod roofline;

@@ -44,7 +44,8 @@ enum Organization {
     FullyAssociative {
         /// line address -> state. Keyed lookups only (eviction order
         /// comes from the `lru` tree), stored ordered so the container
-        /// is deterministic by construction (`det-hash` lint).
+        /// is deterministic by construction (`clippy.toml` bans std
+        /// hash containers).
         lines: BTreeMap<u64, FaLine>,
         /// last_use tick -> line address (LRU order; ticks are unique)
         lru: BTreeMap<u64, u64>,

@@ -49,8 +49,6 @@
 //! whole run parallelises across threads (or CI shards) without changing
 //! a single measured value. See `ARCHITECTURE.md` at the workspace root.
 
-#![deny(missing_docs)]
-
 pub mod api;
 pub mod bandwidth;
 pub mod cache;

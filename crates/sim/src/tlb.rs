@@ -126,7 +126,7 @@ pub(crate) struct Tlb {
     /// Pages ever installed since the last flush. A `BTreeSet` (not a
     /// hash set) keeps the container deterministic by construction —
     /// membership is all the free-first-touch rule needs, and the
-    /// workspace-wide `det-hash` lint bans std hash containers.
+    /// workspace's `clippy.toml` bans std hash containers.
     seen: std::collections::BTreeSet<u64>,
 }
 

@@ -31,11 +31,10 @@
 //! | Sec. IV-B workflow step (3), outlier removal | [`outliers`] |
 //! | Sec. IV-C "average + a set of statistical values" | [`descriptive`] |
 //!
-//! This crate pilots `#![deny(missing_docs)]` for the workspace: every
-//! public item must carry rustdoc, and `cargo doc --no-deps` is kept
+//! Like every workspace package, this crate denies `missing_docs`
+//! (through `[workspace.lints]` in the root `Cargo.toml`): every public
+//! item must carry rustdoc, and `cargo doc --no-deps` is kept
 //! warning-free in CI.
-
-#![deny(missing_docs)]
 
 pub mod cpd;
 pub mod descriptive;
