@@ -88,6 +88,7 @@ pub fn run(gpu: &mut Gpu, fetch_granularity: u64, scan_points: usize) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mt4g_sim::gpu::GpuStats;
     use mt4g_sim::presets;
 
     #[test]
@@ -108,6 +109,30 @@ mod tests {
         assert_eq!(r.segment_bytes, 20 * 1024 * 1024);
         assert_eq!(r.measured_bytes, Some(20 * 1024 * 1024));
         assert!(r.confidence > 0.8, "confidence {}", r.confidence);
+    }
+
+    /// The H100-80 and B200 L2 searches chase `.cg` rings through one
+    /// fully-associative exact-LRU L2 from a flushed hierarchy, so every
+    /// warm-up lap is charged in closed form and not one load is walked
+    /// on the host. The device counters equal those of walking every
+    /// load: kernels, loads and cycles as measured before laps had a
+    /// closed form.
+    #[test]
+    fn nvidia_l2_searches_walk_no_loads() {
+        let stats = |kernels_launched, loads_executed, total_cycles| GpuStats {
+            kernels_launched,
+            loads_executed,
+            total_cycles,
+        };
+        for (mut gpu, want) in [
+            (presets::h100_80(), stats(70, 50_576_861, 42_784_792_956)),
+            (presets::b200(), stats(72, 127_254_493, 114_270_460_006)),
+        ] {
+            run(&mut gpu, 32, 16).unwrap();
+            let name = &gpu.config.name;
+            assert_eq!(gpu.walked_loads(), 0, "{name}");
+            assert_eq!(gpu.stats(), want, "{name}");
+        }
     }
 
     #[test]

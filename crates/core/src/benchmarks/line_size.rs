@@ -152,6 +152,7 @@ fn prev_power_of_two(v: u64) -> u64 {
 mod tests {
     use super::*;
     use mt4g_sim::device::CacheKind;
+    use mt4g_sim::gpu::GpuStats;
     use mt4g_sim::presets;
 
     fn line_of(
@@ -183,6 +184,32 @@ mod tests {
         .unwrap();
         assert_eq!(line, 128);
         assert!(conf > 0.3);
+    }
+
+    /// The line-size sweep over the H100-80 L2 (strides in half-sector
+    /// steps over `.cg` rings just past the capacity) takes every warm-up
+    /// lap in closed form: no load is walked on the host, and the device
+    /// counters equal those of walking every load.
+    #[test]
+    fn h100_l2_line_sweep_walks_no_loads() {
+        let mut gpu = presets::h100_80();
+        let (line, _) = line_of(
+            &mut gpu,
+            CacheKind::L2,
+            MemorySpace::Global,
+            LoadFlags::CACHE_GLOBAL,
+        )
+        .unwrap();
+        assert_eq!(line, 128);
+        assert_eq!(gpu.walked_loads(), 0);
+        assert_eq!(
+            gpu.stats(),
+            GpuStats {
+                kernels_launched: 81,
+                loads_executed: 33_931_236,
+                total_cycles: 28_705_028_397,
+            }
+        );
     }
 
     #[test]

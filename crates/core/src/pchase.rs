@@ -114,10 +114,9 @@ pub fn calibrate_overhead(gpu: &mut Gpu) -> f64 {
 /// Runs one p-chase benchmark and returns overhead-corrected latencies.
 ///
 /// Allocates the array in the target space (so e.g. constant arrays are
-/// subject to the 64 KiB limit) with one stored word per element
-/// ([`Gpu::alloc_strided`] — the chase reads nothing else), initialises
-/// the chase ring, launches the vendor-specific kernel and subtracts the
-/// calibrated overhead.
+/// subject to the 64 KiB limit), makes it a chase ring
+/// ([`Gpu::init_pchase`] records the ring as a value, in O(1)), runs the
+/// vendor-specific chase and subtracts the calibrated overhead.
 pub fn run_pchase(gpu: &mut Gpu, cfg: &PchaseConfig) -> Result<PchaseRun, AllocError> {
     let overhead = calibrate_overhead(gpu);
     run_pchase_with_overhead(gpu, cfg, overhead)
@@ -131,7 +130,7 @@ pub fn run_pchase_with_overhead(
     overhead: f64,
 ) -> Result<PchaseRun, AllocError> {
     assert!(cfg.stride_bytes >= 4 && cfg.stride_bytes.is_multiple_of(4));
-    let buf = gpu.alloc_strided(cfg.space, cfg.array_bytes, cfg.stride_bytes)?;
+    let buf = gpu.alloc(cfg.space, cfg.array_bytes)?;
     let elements = gpu.init_pchase(buf, cfg.array_bytes, cfg.stride_bytes);
     // The chase is a ring, so a warmed run can record a full N latencies
     // even for arrays shorter than N elements — keeping every row of a
@@ -145,8 +144,9 @@ pub fn run_pchase_with_overhead(
     };
     // The batched executor is bit-identical to interpreting
     // `KernelBuilder::pchase_kernel` (pinned by tests in `mt4g_sim::gpu`)
-    // but skips the per-instruction dispatch — this is the simulation's
-    // hottest loop.
+    // but skips the per-instruction dispatch, and a warmed chase from the
+    // flushed hierarchy every benchmark probe starts from has its
+    // warm-up lap charged in closed form on exact-LRU routes.
     let run = gpu.pchase_batch(
         cfg.sm,
         cfg.core,
@@ -191,7 +191,7 @@ pub fn prepare_chase(
     array_bytes: u64,
     stride_bytes: u64,
 ) -> Result<ChaseBuffer, AllocError> {
-    let buf = gpu.alloc_strided(space, array_bytes, stride_bytes)?;
+    let buf = gpu.alloc(space, array_bytes)?;
     let elements = gpu.init_pchase(buf, array_bytes, stride_bytes);
     Ok(ChaseBuffer {
         base: gpu.buffer_base(buf),

@@ -34,8 +34,11 @@
 //!
 //! # Storage
 //!
-//! * **Fully associative** — the simulation's hottest loop (millions of
-//!   pointer-chase loads per discovery), so the data layout matters: a
+//! * **Fully associative** — every load the host walks lands here: scans
+//!   through non-LRU L1s, cold chases, multi-actor passes and raw loads,
+//!   and replays of deferred laps (a warm-up lap over exact-LRU levels
+//!   from a flushed hierarchy is charged in closed form instead, see
+//!   `hierarchy.rs`). So the data layout matters: a
 //!   two-level index (`LineIndex`) maps line addresses to a slot arena.
 //!   Its first level is a small open-addressed directory keyed by aligned
 //!   64-line pages, with the keys inline; its second is a dense block of
@@ -925,7 +928,7 @@ impl SectoredCache {
 
     /// Splits a byte address into (line address, sector bit).
     #[inline(always)]
-    fn split_addr(&self, addr: u64) -> (u64, u64) {
+    pub(crate) fn split_addr(&self, addr: u64) -> (u64, u64) {
         match self.split {
             Some((line_shift, line_mask, sector_shift)) => (
                 addr >> line_shift,

@@ -1,4 +1,4 @@
-//! The simulated GPU: device memory allocation, kernel execution with a
+//! The simulated GPU: device memory bookkeeping, kernel execution with a
 //! cycle clock, and measurement noise.
 //!
 //! [`Gpu`] is the object the MT4G tool drives. It deliberately exposes only
@@ -7,6 +7,14 @@
 //! Ground truth lives in [`crate::device::DeviceConfig`], which tests and
 //! benches use for validation — the discovery pipeline itself must never
 //! read it (beyond what the API layer legitimately reports).
+//!
+//! Device memory stores no words. A buffer is bookkeeping (base and
+//! length), and a p-chase ring made by [`Gpu::init_pchase`] is a value —
+//! base, stride, element count — whose element `i` reads as its
+//! successor's index, `i + 1 mod count`. Because a ring is a value, a
+//! warm-up lap over it from a flushed hierarchy has a closed form on
+//! fully-associative exact-LRU levels, and [`Gpu::pchase_batch`] charges
+//! such a lap without walking it.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -20,44 +28,62 @@ use crate::noise::NoiseModel;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufferId(usize);
 
-#[derive(Debug)]
-struct Buffer {
-    base: u64,
-    /// Readable bytes: the requested size rounded up to a whole word, for
-    /// both representations. A strided buffer's last stored word may
-    /// cover address space past this end (a partial last element); that
-    /// space belongs to the next allocation, as it would after a dense
-    /// buffer.
-    len: u64,
-    /// Bytes of device address space each stored word covers: 4 for
-    /// [`Gpu::alloc`] buffers, the element stride for chase rings
-    /// ([`Gpu::alloc_strided`]), which store only the first word of each
-    /// element. A read outside a stored word returns 0, so a strided
-    /// buffer reads exactly like a dense zero-initialised one whose chase
-    /// pointers are the only non-zero words.
-    bytes_per_word: u64,
-    data: Vec<u32>,
+/// A p-chase ring: `count` elements `stride` bytes apart from `base`, the
+/// element at index `i` pointing to index `i + 1`, the last one back to 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Ring {
+    pub(crate) base: u64,
+    pub(crate) stride: u64,
+    pub(crate) count: u64,
 }
 
-impl Buffer {
-    /// Whether a 4-byte read at device address `addr` lies inside the
-    /// buffer.
+impl Ring {
+    /// Address of the element after the one that starts at `addr`.
     #[inline]
-    fn holds(&self, addr: u64) -> bool {
-        addr >= self.base && addr + 4 <= self.base + self.len
+    pub(crate) fn next(&self, addr: u64) -> u64 {
+        let next = addr + self.stride;
+        if next == self.base + self.count * self.stride {
+            self.base
+        } else {
+            next
+        }
     }
 
-    /// What a 4-byte read at byte offset `off` (a read the buffer
-    /// [holds](Self::holds)) returns: the stored word whose first four
-    /// bytes hold `off`, 0 anywhere else.
-    #[inline]
-    fn word_at(&self, off: u64) -> u32 {
-        if off % self.bytes_per_word < 4 {
-            self.data[(off / self.bytes_per_word) as usize]
+    /// What a 4-byte read at `addr` (at or past `base`) returns: the
+    /// successor's index inside an element's first four bytes, 0 between
+    /// elements and past the last one.
+    fn read(&self, addr: u64) -> u32 {
+        let off = addr - self.base;
+        let index = off / self.stride;
+        if off % self.stride < 4 && index < self.count {
+            ((index + 1) % self.count) as u32
         } else {
             0
         }
     }
+}
+
+#[derive(Debug)]
+struct Buffer {
+    base: u64,
+    /// Readable bytes: the requested size rounded up to a whole word. A
+    /// ring's partial last element may end past this; that space belongs
+    /// to the next allocation.
+    len: u64,
+    /// The ring [`Gpu::init_pchase`] made of this buffer, if any.
+    ring: Option<Ring>,
+}
+
+/// What a 4-byte read at device address `addr` returns: a ring element's
+/// successor index at the element's first word, and 0 anywhere else —
+/// between elements, past a ring's last element, in a buffer never made
+/// a ring, and outside every buffer (a zero page).
+fn read_mem(buffers: &[Buffer], addr: u64) -> u32 {
+    buffers
+        .iter()
+        .find(|buf| addr >= buf.base && addr + 4 <= buf.base + buf.len)
+        .and_then(|buf| buf.ring)
+        .map_or(0, |ring| ring.read(addr))
 }
 
 /// Cycle cost of simple ALU instructions.
@@ -80,12 +106,16 @@ pub struct LaunchResult {
 /// restarting from it. It is the native form of the `KernelBuilder`
 /// chase kernels: `pchase_kernel` (with or without its warm-up),
 /// `pchase_warm_kernel` (no timed steps) and `pchase_timed_kernel` (no
-/// warm-up). Field semantics mirror the kernel builder's parameters.
+/// warm-up). Field semantics mirror the kernel builder's parameters,
+/// except that `base` must start a ring of stride `elem_bytes` made by
+/// [`Gpu::init_pchase`]: the batch steps that ring without reading
+/// memory, and a warm-up of exactly one lap of it may be charged in
+/// closed form (see [`Gpu::pchase_batch`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PchaseBatch {
-    /// Device base address of the chase array.
+    /// Device base address of the chase ring (its first element).
     pub base: u64,
-    /// Stride between consecutive chase elements, in bytes.
+    /// The ring's stride between consecutive elements, in bytes.
     pub elem_bytes: u64,
     /// Untimed warm-up loads (a full lap is the ring's element count; 0
     /// skips the warm-up).
@@ -103,7 +133,8 @@ pub struct PchaseBatch {
 pub struct GpuStats {
     /// Kernels launched since construction.
     pub kernels_launched: u64,
-    /// Loads executed (timed + warm-up).
+    /// Loads the device executed (timed + warm-up), whether the host
+    /// walked them or charged them in closed form.
     pub loads_executed: u64,
     /// Total simulated GPU cycles across launches. Timed loads are charged
     /// their noisy latency, untimed (warm-up) loads their noiseless one.
@@ -213,47 +244,31 @@ impl Gpu {
         self.stats
     }
 
-    /// Allocates `bytes` of device memory for loads through `space`.
+    /// Loads walked on the host through the memory subsystem since
+    /// construction: eager batch loads, raw loads, interpreter loads and
+    /// replays of deferred laps. This is host work, not a device
+    /// statistic: a lap charged in closed form counts in
+    /// [`GpuStats::loads_executed`] at once, and here only if a later load
+    /// replays it.
+    pub fn walked_loads(&self) -> u64 {
+        self.mem.walked_loads()
+    }
+
+    /// Allocates `bytes` of device address space for loads through
+    /// `space`. Nothing is stored: every read returns 0 until
+    /// [`Self::init_pchase`] makes the buffer a ring, so a page-stride TLB
+    /// ring spanning gigabytes costs a few words of host memory.
     ///
     /// Allocation in [`MemorySpace::Constant`] is capped at 64 KiB, which
     /// is what stops MT4G from sizing the Constant L1.5 cache (Table III's
     /// ">64KiB" entry).
     pub fn alloc(&mut self, space: MemorySpace, bytes: u64) -> Result<BufferId, AllocError> {
-        self.alloc_inner(space, bytes, 4)
-    }
-
-    /// Allocates `bytes` of device address space backed by one stored word
-    /// per `stride_bytes` — how every p-chase ring is stored. A chase reads
-    /// only the first word of each element, so host memory is 4 bytes per
-    /// element whatever the stride: a 32 B-stride cache ring costs an
-    /// eighth of a dense buffer, and a page-stride TLB ring spanning
-    /// gigabytes costs kilobytes. Device addresses are the same as
-    /// [`Self::alloc`] would hand out, and reads outside the stored words
-    /// return 0, exactly like the untouched words of a dense
-    /// zero-initialised buffer.
-    pub fn alloc_strided(
-        &mut self,
-        space: MemorySpace,
-        bytes: u64,
-        stride_bytes: u64,
-    ) -> Result<BufferId, AllocError> {
-        assert!(stride_bytes >= 4 && stride_bytes.is_multiple_of(4));
-        self.alloc_inner(space, bytes, stride_bytes)
-    }
-
-    fn alloc_inner(
-        &mut self,
-        space: MemorySpace,
-        bytes: u64,
-        bytes_per_word: u64,
-    ) -> Result<BufferId, AllocError> {
         if space == MemorySpace::Constant && bytes > CONSTANT_ARRAY_LIMIT {
             return Err(AllocError::ConstantLimitExceeded { requested: bytes });
         }
         if self.allocated + bytes > self.config.dram.size {
             return Err(AllocError::OutOfMemory);
         }
-        let words = bytes.div_ceil(bytes_per_word) as usize;
         let base = self.next_base;
         // Page-align the next allocation so buffers never share a line.
         self.next_base += bytes.div_ceil(4096) * 4096 + 4096;
@@ -261,8 +276,7 @@ impl Gpu {
         self.buffers.push(Buffer {
             base,
             len: bytes.div_ceil(4) * 4,
-            bytes_per_word,
-            data: vec![0u32; words],
+            ring: None,
         });
         Ok(BufferId(self.buffers.len() - 1))
     }
@@ -279,45 +293,39 @@ impl Gpu {
         self.buffers[id.0].base
     }
 
-    /// Writes 32-bit words into a buffer starting at word index `offset`.
-    pub fn write_words(&mut self, id: BufferId, offset: usize, words: &[u32]) {
-        let buf = &mut self.buffers[id.0];
-        buf.data[offset..offset + words.len()].copy_from_slice(words);
-    }
-
-    /// Initialises `id` as a p-chase ring: element `i` (spaced
-    /// `stride_bytes` apart) holds the element index of its successor, with
-    /// the last element pointing back to 0. Returns the element count.
+    /// Makes `id` a p-chase ring: element `i` (spaced `stride_bytes`
+    /// apart) holds the element index of its successor, with the last
+    /// element pointing back to 0. The ring is recorded, not written, in
+    /// O(1). Returns the element count, `array_bytes / stride_bytes` and
+    /// at least 1.
     pub fn init_pchase(&mut self, id: BufferId, array_bytes: u64, stride_bytes: u64) -> u64 {
         assert!(stride_bytes >= 4 && stride_bytes.is_multiple_of(4));
-        let n = (array_bytes / stride_bytes).max(1);
+        let count = (array_bytes / stride_bytes).max(1);
         let buf = &mut self.buffers[id.0];
         assert!(
-            stride_bytes.is_multiple_of(buf.bytes_per_word),
-            "chase stride {stride_bytes} must be a multiple of the buffer's \
-             storage granule {}",
-            buf.bytes_per_word
+            (count - 1) * stride_bytes + 4 <= buf.len,
+            "a {count}-element ring at a {stride_bytes} B stride overruns its {} B buffer",
+            buf.len
         );
-        let stride_words = (stride_bytes / buf.bytes_per_word) as usize;
-        for i in 0..n {
-            let next = (i + 1) % n;
-            // The stored value is the *element index* of the successor; the
-            // kernel scales it by the stride to form the next address.
-            buf.data[i as usize * stride_words] = next as u32;
-        }
-        n
+        buf.ring = Some(Ring {
+            base: buf.base,
+            stride: stride_bytes,
+            count,
+        });
+        count
     }
 
-    #[inline]
-    fn read_mem(&self, addr: u64) -> u32 {
-        // Unmapped reads return zero, like a zero page.
+    /// The ring a chase from `base` at `stride` walks, if `base` starts
+    /// one of that stride.
+    fn ring_at(&self, base: u64, stride: u64) -> Option<Ring> {
         self.buffers
             .iter()
-            .find(|buf| buf.holds(addr))
-            .map_or(0, |buf| buf.word_at(addr - buf.base))
+            .filter_map(|buf| buf.ring)
+            .find(|ring| ring.base == base && ring.stride == stride)
     }
 
-    /// Invalidates all caches (a new benchmark's pristine state).
+    /// Invalidates all caches (a new benchmark's pristine state), and
+    /// drops a deferred lap unwalked.
     pub fn flush_caches(&mut self) {
         self.mem.flush_all();
     }
@@ -359,6 +367,20 @@ impl Gpu {
     /// no clock window, so it is charged its noiseless latency and
     /// consumes no RNG: a chase's draws, and so the noise its records
     /// see, do not depend on how long its warm-up lap was.
+    ///
+    /// A warm-up of exactly one lap over a ring, from a flushed hierarchy,
+    /// along a route of fully-associative exact-LRU levels, is not walked:
+    /// the hierarchy classifies every load of the batch in closed form,
+    /// the lap is charged as a sum, and each timed step still draws its
+    /// noise sample in order. The batch's loads are kept as a deferred
+    /// lap that `flush_caches` drops and that the next load — a raw load,
+    /// another batch or an interpreted `Load` — walks first, so every
+    /// later observation sees the state the walk would have left
+    /// (`deferred_laps_match_the_eager_walk` pins this).
+    ///
+    /// # Panics
+    ///
+    /// If `batch.base` does not start a ring of stride `batch.elem_bytes`.
     pub fn pchase_batch(
         &mut self,
         sm: usize,
@@ -381,27 +403,42 @@ impl Gpu {
             0
         };
         let route = self.mem.route(sm, core, batch.space, batch.flags);
+        let ring = self
+            .ring_at(batch.base, batch.elem_bytes)
+            .expect("a p-chase batch starts a ring of its stride");
+        let closed = if ring.count == batch.warm_steps {
+            self.mem.defer_lap(&route, sm, ring, batch.timed_steps)
+        } else {
+            None
+        };
 
-        let mut records = Vec::with_capacity(max_records.min(4096));
-        let mut addr = batch.base;
         // Warm-up pass: Load + MulImm + Add + BranchDecNz per element.
-        for _ in 0..batch.warm_steps {
-            let res = self.mem.load_via(&route, sm, addr);
-            self.cycle += res.latency.max(1) as u64 + 3 * ALU_COST;
-            addr = batch.base + self.read_mem(addr) as u64 * batch.elem_bytes;
+        let warm_cost = |latency: u32| latency.max(1) as u64 + 3 * ALU_COST;
+        if let Some(closed) = &closed {
+            self.cycle += closed.lap_cycles(warm_cost);
+        } else {
+            let mut addr = batch.base;
+            for _ in 0..batch.warm_steps {
+                self.cycle += warm_cost(self.mem.load_via(&route, sm, addr).latency);
+                addr = ring.next(addr);
+            }
         }
         // Timed pass, restarting from element 0: per step
         // [fences;] clock; load; store/fences; clock; sub; record; mul; add;
         // branch — the recorded value is `latency + store cost + overhead`.
-        addr = batch.base;
-        for _ in 0..batch.timed_steps {
-            let res = self.mem.load_via(&route, sm, addr);
-            let lat = self.noise.sample(&mut self.rng, res.latency);
+        let mut records = Vec::with_capacity(max_records.min(4096));
+        let mut addr = batch.base;
+        for step in 0..batch.timed_steps {
+            let latency = match &closed {
+                Some(closed) => closed.step_latency(step),
+                None => self.mem.load_via(&route, sm, addr).latency,
+            };
+            let lat = self.noise.sample(&mut self.rng, latency);
             self.cycle += pre_fences + 2 * overhead + lat as u64 + STORE_SHARED_COST + 4 * ALU_COST;
             if records.len() < max_records {
                 records.push((lat as u64 + STORE_SHARED_COST + overhead) as u32);
             }
-            addr = batch.base + self.read_mem(addr) as u64 * batch.elem_bytes;
+            addr = ring.next(addr);
         }
         self.stats.loads_executed += batch.warm_steps + batch.timed_steps;
         let cycles = self.cycle - start_cycle;
@@ -453,7 +490,7 @@ impl Gpu {
                     };
                     self.cycle += lat as u64;
                     self.stats.loads_executed += 1;
-                    regs[dst] = self.read_mem(a) as u64;
+                    regs[dst] = read_mem(&self.buffers, a) as u64;
                 }
                 Instr::StoreShared { .. } => self.cycle += STORE_SHARED_COST,
                 Instr::Fence => self.cycle += ALU_COST,
@@ -574,17 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn alloc_and_write_round_trip() {
-        let mut gpu = quiet_gpu();
-        let buf = gpu.alloc(MemorySpace::Global, 4096).unwrap();
-        gpu.write_words(buf, 0, &[7, 8, 9]);
-        let base = gpu.buffer_base(buf);
-        assert_eq!(gpu.read_mem(base), 7);
-        assert_eq!(gpu.read_mem(base + 4), 8);
-        assert_eq!(gpu.read_mem(base + 8), 9);
-    }
-
-    #[test]
     fn constant_alloc_enforces_64kib_limit() {
         let mut gpu = quiet_gpu();
         assert!(gpu.alloc(MemorySpace::Constant, 64 * 1024).is_ok());
@@ -612,7 +638,7 @@ mod tests {
         // Follow the chain n steps and come back to element 0.
         let mut idx = 0u64;
         for _ in 0..n {
-            idx = gpu.read_mem(base + idx * 32) as u64;
+            idx = read_mem(&gpu.buffers, base + idx * 32) as u64;
         }
         assert_eq!(idx, 0);
     }
@@ -722,24 +748,18 @@ mod tests {
     /// the batched executor on identically-forked GPUs and asserts
     /// bit-identical records, cycles and statistics — the contract that
     /// lets `mt4g_core::pchase` switch to the batch API without changing
-    /// a single measured value. Each chase runs on a dense [`Gpu::alloc`]
-    /// ring and on [`Gpu::alloc_strided`] rings at the 32 B and 128 B
-    /// strides the cache benchmarks chase at, so the interpreter's strided
-    /// `read_mem` path is pinned too.
+    /// a single measured value. Each chase runs on rings at 4 B, 32 B and
+    /// 128 B strides; a warmed batch on an exact-LRU route takes its lap in
+    /// closed form, and the post-run kernel replays it.
     fn assert_batch_matches_interpreter(gpu: &Gpu, space: MemorySpace, flags: LoadFlags) {
-        for (strided, stride) in [(false, 32), (true, 32), (true, 128)] {
+        for stride in [4, 32, 128] {
             let setup = |g: &mut Gpu| {
-                let buf = if strided {
-                    g.alloc_strided(space, 8192, stride)
-                } else {
-                    g.alloc(space, 8192)
-                }
-                .unwrap();
+                let buf = g.alloc(space, 8192).unwrap();
                 let n = g.init_pchase(buf, 8192, stride);
                 (g.buffer_base(buf), n)
             };
             for warmup in [true, false] {
-                let ctx = format!("strided={strided} stride={stride} warmup={warmup}");
+                let ctx = format!("stride={stride} warmup={warmup}");
                 let mut a = gpu.fork(99);
                 let mut b = gpu.fork(99);
                 let (base_a, n) = setup(&mut a);
@@ -783,36 +803,36 @@ mod tests {
 
     #[test]
     fn strided_ring_reads_like_a_dense_ring() {
-        // Every 4-byte read, aligned or not, past the ring's end and into
-        // the allocation after it, returns what the dense zero-initialised
-        // ring returns — including a stride that is not a power of two
-        // (the division path), a size that is not a whole number of
-        // elements, and a stride of three pages, whose partial last
-        // element spans address space the next allocation owns.
+        // A ring stores no words, yet every 4-byte read, aligned or not,
+        // from its base through a plain allocation after it and past that
+        // returns what a dense zero-initialised ring holds: the
+        // successor's index at each element's first word (0 at the last
+        // element), and 0 between elements, in a partial last element,
+        // past the ring, in the plain allocation and outside both. The
+        // strides include one that is not a power of two and one of three
+        // pages, whose partial last element would reach into the next
+        // allocation.
         for stride in [4u64, 32, 48, 128, 4096, 12288] {
+            let mut gpu = quiet_gpu();
             let bytes = 8 * stride + 20;
-            let mut dense = quiet_gpu();
-            let mut strided = quiet_gpu();
-            let d = dense.alloc(MemorySpace::Global, bytes).unwrap();
-            let s = strided
-                .alloc_strided(MemorySpace::Global, bytes, stride)
-                .unwrap();
-            assert_eq!(dense.buffer_base(d), strided.buffer_base(s));
-            dense.init_pchase(d, bytes, stride);
-            strided.init_pchase(s, bytes, stride);
-            let mut end = 0;
-            for gpu in [&mut dense, &mut strided] {
-                let next = gpu.alloc(MemorySpace::Global, 4096).unwrap();
-                gpu.write_words(next, 0, &[0xA5A5_A5A5; 1024]);
-                end = gpu.buffer_base(next) + 4096 + 8;
-            }
-            let base = dense.buffer_base(d);
-            for addr in base..end {
+            let ring = gpu.alloc(MemorySpace::Global, bytes).unwrap();
+            let n = gpu.init_pchase(ring, bytes, stride);
+            assert_eq!(n, bytes / stride);
+            let plain = gpu.alloc(MemorySpace::Global, 4096).unwrap();
+            let base = gpu.buffer_base(ring);
+            assert_eq!(read_mem(&gpu.buffers, base + (n - 1) * stride), 0);
+            for addr in base..gpu.buffer_base(plain) + 4096 + 8 {
+                let off = addr - base;
+                let (index, within) = (off / stride, off % stride);
+                let want = if index < n && within < 4 {
+                    ((index + 1) % n) as u32
+                } else {
+                    0
+                };
                 assert_eq!(
-                    dense.read_mem(addr),
-                    strided.read_mem(addr),
-                    "stride {stride} offset {}",
-                    addr - base
+                    read_mem(&gpu.buffers, addr),
+                    want,
+                    "stride {stride} offset {off}"
                 );
             }
         }
@@ -865,7 +885,7 @@ mod tests {
         let ring = |g: &mut Gpu, bytes: u64, warmup: bool| {
             g.free_all();
             g.flush_caches();
-            let buf = g.alloc_strided(MemorySpace::Global, bytes, 32).unwrap();
+            let buf = g.alloc(MemorySpace::Global, bytes).unwrap();
             let n = g.init_pchase(buf, bytes, 32);
             PchaseBatch {
                 base: g.buffer_base(buf),
@@ -986,6 +1006,291 @@ mod tests {
         assert!(
             (mean - expected).abs() < 6.0,
             "mean {mean} vs expected {expected}"
+        );
+    }
+
+    /// Every (space, flags) route kind of a vendor the differential test
+    /// draws from: NVIDIA `.ca`, `.cg`, texture, read-only, constant,
+    /// volatile and shared; AMD vector, vector `glc`, scalar and LDS.
+    const NVIDIA_ROUTES: [(MemorySpace, LoadFlags); 7] = [
+        (MemorySpace::Global, LoadFlags::CACHE_ALL),
+        (MemorySpace::Global, LoadFlags::CACHE_GLOBAL),
+        (MemorySpace::Texture, LoadFlags::CACHE_ALL),
+        (MemorySpace::Readonly, LoadFlags::CACHE_ALL),
+        (MemorySpace::Constant, LoadFlags::CACHE_ALL),
+        (MemorySpace::Global, LoadFlags::VOLATILE),
+        (MemorySpace::Shared, LoadFlags::CACHE_ALL),
+    ];
+    const AMD_ROUTES: [(MemorySpace, LoadFlags); 4] = [
+        (MemorySpace::Vector, LoadFlags::CACHE_ALL),
+        (MemorySpace::Vector, LoadFlags::CACHE_GLOBAL),
+        (MemorySpace::Scalar, LoadFlags::CACHE_ALL),
+        (MemorySpace::Lds, LoadFlags::CACHE_ALL),
+    ];
+
+    /// The cache levels whose instances a route walks, in order.
+    fn route_levels(space: MemorySpace, flags: LoadFlags, unified: bool) -> Vec<CacheKind> {
+        use CacheKind::*;
+        match space {
+            _ if flags.bypass_all => vec![],
+            MemorySpace::Shared | MemorySpace::Lds => vec![],
+            MemorySpace::Global if flags.bypass_l1 => vec![L2],
+            MemorySpace::Global => vec![L1, L2],
+            MemorySpace::Texture if !unified => vec![Texture, L2],
+            MemorySpace::Readonly if !unified => vec![Readonly, L2],
+            MemorySpace::Texture | MemorySpace::Readonly => vec![L1, L2],
+            MemorySpace::Constant => vec![ConstL1, ConstL15, L2],
+            MemorySpace::Vector if flags.bypass_l1 => vec![L2, L3],
+            MemorySpace::Vector => vec![VL1, L2, L3],
+            MemorySpace::Scalar => vec![SL1D, L2, L3],
+        }
+    }
+
+    /// Deferred laps against the eager walk, differentially: random cache
+    /// geometry (non-power-of-two lines included), strides of 4–4096 B,
+    /// rings around one level's capacity, every route kind, no TLB or an
+    /// L1 TLB that does or does not cover the ring's pages, a planted
+    /// non-LRU level, every noise model, and a random follow-up (none;
+    /// raw loads over the ring; a second batch without a flush; flush,
+    /// batch, then a raw load; an interpreter chase kernel). The two
+    /// sides must agree on every output, `GpuStats`, the clock, the RNG
+    /// position and the hierarchy's state (hit/miss counters aside).
+    #[test]
+    fn deferred_laps_match_the_eager_walk() {
+        use crate::cache::ReplacementPolicy;
+        use crate::tlb::TlbSpec;
+        use rand::Rng;
+
+        const CASES: usize = 4000;
+        let mut rng = ChaCha8Rng::seed_from_u64(0x1a95);
+        let mut deferred = 0;
+        for case in 0..CASES {
+            let amd = rng.gen_bool(0.4);
+            let mut cfg = if amd {
+                presets::mi300x().config
+            } else {
+                presets::h100_80().config
+            };
+            cfg.chip.num_sms = 8;
+            cfg.sharing.l1_tex_ro_unified = rng.gen_bool(0.7);
+            for (_, spec) in &mut cfg.caches {
+                let line = if rng.gen_bool(0.2) {
+                    [48u32, 80, 96][rng.gen_range(0..3usize)]
+                } else {
+                    [32, 64, 128][rng.gen_range(0..3usize)]
+                };
+                let sectors: Vec<u32> = [8, 16, 24, 32, 40, 48, 64, 80, 96, 128]
+                    .into_iter()
+                    .filter(|&s| line % s == 0)
+                    .collect();
+                spec.line_size = line;
+                spec.fetch_granularity = sectors[rng.gen_range(0..sectors.len())];
+                spec.size = rng.gen_range(1..=48u64) * line as u64;
+            }
+            let routes: &[(MemorySpace, LoadFlags)] =
+                if amd { &AMD_ROUTES } else { &NVIDIA_ROUTES };
+            // Routes through caches are drawn more often than the
+            // volatile and scratchpad routes, which walk none.
+            let (space, flags, levels) = loop {
+                let (space, flags) = routes[rng.gen_range(0..routes.len())];
+                let levels = route_levels(space, flags, cfg.sharing.l1_tex_ro_unified);
+                if !levels.is_empty() || rng.gen_bool(0.3) {
+                    break (space, flags, levels);
+                }
+            };
+            let planted = (!levels.is_empty() && rng.gen_bool(0.15)).then(|| {
+                let policies = [
+                    ReplacementPolicy::TreePlru,
+                    ReplacementPolicy::Slru,
+                    ReplacementPolicy::Random,
+                    ReplacementPolicy::Bypass,
+                ];
+                (
+                    levels[rng.gen_range(0..levels.len())],
+                    policies[rng.gen_range(0..policies.len())],
+                )
+            });
+            cfg.policies = planted.into_iter().collect();
+            cfg.tlb = rng.gen_bool(0.7).then(|| {
+                let page = [1024u64, 4096, 16384, 2 << 20][rng.gen_range(0..4usize)];
+                let entries = rng.gen_range(1..=64u32);
+                let mut tlb = TlbSpec::fully_associative(page, entries, 50, 2 * entries, 400);
+                if rng.gen_bool(0.1) {
+                    tlb.l1.associativity = (entries / 2).max(1);
+                }
+                tlb
+            });
+            let noise = [NoiseModel::DEFAULT, NoiseModel::HOSTILE, NoiseModel::NONE]
+                [rng.gen_range(0..3usize)];
+
+            let stride: u64 = match rng.gen_range(0..4u32) {
+                0 => [4u64, 8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 4096]
+                    [rng.gen_range(0..12usize)],
+                1 => 4 * rng.gen_range(1..=1024u64),
+                _ => 4 * rng.gen_range(1..=64u64),
+            };
+            // A ring around the capacity of one level of the route.
+            let (capacity, line) = levels
+                .get(rng.gen_range(0..levels.len().max(1)))
+                .and_then(|&kind| cfg.cache(kind))
+                .map_or((rng.gen_range(1..=48u64), 64u64), |spec| {
+                    (spec.lines(), spec.line_size as u64)
+                });
+            let lines: u64 = (capacity + rng.gen_range(0..=6u64))
+                .saturating_sub(3)
+                .max(1);
+            let jitter = [0, stride, rng.gen_range(0..line)][rng.gen_range(0..3usize)];
+            let mut bytes = (lines * stride.max(line)).saturating_sub(jitter).max(4);
+            if space == MemorySpace::Constant {
+                bytes = bytes.min(CONSTANT_ARRAY_LIMIT);
+            }
+            let n = (bytes / stride).max(1);
+            // Empty allocations before the ring move its base a page at a
+            // time from 0x1_0000. Few bases align to a 48, 80 or 96 B line,
+            // so half the cases take the count that aligns the base to
+            // every line of the route.
+            let aligned = |fillers: &u64| {
+                levels
+                    .iter()
+                    .filter_map(|&kind| cfg.cache(kind))
+                    .all(|spec| (0x1_0000 + 4096 * fillers).is_multiple_of(spec.line_size as u64))
+            };
+            let fillers = match rng.gen_bool(0.5) {
+                true => (0..64).find(aligned).expect("a base aligned to every line"),
+                false => rng.gen_range(0..15),
+            };
+            let warm_steps = match rng.gen_range(0..20u32) {
+                0 => 0,
+                1 => n + 1,
+                2 => n - 1,
+                _ => n,
+            };
+            let timed_steps = rng.gen_range((warm_steps == 0) as u64..=300);
+            let max_records = rng.gen_range(0..=300usize);
+            let sm = rng.gen_range(0..8usize);
+            let core = rng.gen_range(0..cfg.chip.cores_per_sm as usize);
+            let touch_first = rng.gen_bool(0.05);
+            let follow_up = rng.gen_range(0..5u32);
+            let follow_seed: u64 = rng.gen();
+            let ctx = format!(
+                "case {case}: {space:?} {flags:?} stride {stride} bytes {bytes} \
+                 warm {warm_steps} timed {timed_steps} sm {sm} fillers {fillers} \
+                 touch {touch_first} follow-up {follow_up} planted {planted:?} \
+                 tlb {:?} caches {:?}",
+                cfg.tlb,
+                cfg.caches
+                    .iter()
+                    .map(|(k, s)| (k, s.size, s.line_size, s.fetch_granularity))
+                    .collect::<Vec<_>>()
+            );
+
+            let run = |eager: bool| {
+                let mut g = Gpu::with_seed(cfg.clone(), case as u64);
+                g.set_noise(noise);
+                g.mem.eager = eager;
+                let mut out = Vec::new();
+                for _ in 0..fillers {
+                    g.alloc(MemorySpace::Global, 0).unwrap();
+                }
+                let buf = g.alloc(space, bytes).unwrap();
+                assert_eq!(g.init_pchase(buf, bytes, stride), n);
+                let base = g.buffer_base(buf);
+                if touch_first {
+                    out.push(format!("{:?}", g.raw_load(sm, core, space, flags, base)));
+                }
+                let batch = PchaseBatch {
+                    base,
+                    elem_bytes: stride,
+                    warm_steps,
+                    timed_steps,
+                    space,
+                    flags,
+                };
+                out.push(format!(
+                    "{:?}",
+                    g.pchase_batch(sm, core, &batch, max_records)
+                ));
+                let walked = g.walked_loads();
+                let mut f = ChaCha8Rng::seed_from_u64(follow_seed);
+                let element = |f: &mut ChaCha8Rng| base + f.gen_range(0..n) * stride;
+                match follow_up {
+                    0 => {}
+                    1 => {
+                        if f.gen_bool(0.3) {
+                            g.free_all();
+                        }
+                        for _ in 0..f.gen_range(1..=32u32) {
+                            let from = if f.gen_bool(0.5) {
+                                sm
+                            } else {
+                                f.gen_range(0..8usize)
+                            };
+                            let addr = element(&mut f);
+                            out.push(format!("{:?}", g.raw_load(from, core, space, flags, addr)));
+                        }
+                    }
+                    2 => {
+                        let (space, flags) = routes[f.gen_range(0..routes.len())];
+                        let again = PchaseBatch {
+                            warm_steps: if f.gen_bool(0.5) { n } else { 0 },
+                            timed_steps: f.gen_range(1..=300u64),
+                            space,
+                            flags,
+                            ..batch
+                        };
+                        let from = f.gen_range(0..8usize);
+                        out.push(format!("{:?}", g.pchase_batch(from, core, &again, 256)));
+                    }
+                    3 => {
+                        // The flushed ring again: a flush keeps each
+                        // cache index's directory size, which the state
+                        // text shows, so a smaller ring would differ there.
+                        g.flush_caches();
+                        let again = PchaseBatch {
+                            warm_steps: n,
+                            timed_steps: f.gen_range(0..=300u64),
+                            ..batch
+                        };
+                        out.push(format!("{:?}", g.pchase_batch(sm, core, &again, 256)));
+                        let addr = element(&mut f);
+                        out.push(format!("{:?}", g.raw_load(sm, core, space, flags, addr)));
+                    }
+                    _ => {
+                        if f.gen_bool(0.3) {
+                            g.free_all();
+                        }
+                        let kernel = KernelBuilder::pchase_kernel(
+                            g.vendor(),
+                            base,
+                            stride,
+                            n,
+                            f.gen_range(1..=300u64),
+                            space,
+                            flags,
+                            f.gen_bool(0.5),
+                        );
+                        out.push(format!("{:?}", g.launch(sm, core, &kernel, 256)));
+                    }
+                }
+                (g, out, walked)
+            };
+            let (mut eager, eager_out, eager_walked) = run(true);
+            let (mut fast, fast_out, fast_walked) = run(false);
+            assert_eq!(eager_out, fast_out, "{ctx}");
+            assert_eq!(eager.stats(), fast.stats(), "{ctx}");
+            assert_eq!(eager.elapsed_cycles(), fast.elapsed_cycles(), "{ctx}");
+            assert_eq!(eager.rng, fast.rng, "RNG position: {ctx}");
+            assert_eq!(eager.mem.state(), fast.mem.state(), "hierarchy: {ctx}");
+            let closed_form = fast_walked < eager_walked;
+            assert!(
+                !(closed_form && planted.is_some()),
+                "a non-LRU route was deferred: {ctx}"
+            );
+            deferred += closed_form as usize;
+        }
+        assert!(
+            deferred * 2 > CASES,
+            "only {deferred} of {CASES} cases took the closed form"
         );
     }
 }

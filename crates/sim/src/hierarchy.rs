@@ -20,9 +20,18 @@
 //! `MemorySubsystem::load_via` walks it for one address.
 //! [`MemorySubsystem::load`] does both on every call; a batched p-chase
 //! resolves its route once and walks it for every load.
+//!
+//! A full warm-up lap over a chase ring from a flushed hierarchy need not
+//! be walked at all when every level on its route is fully associative
+//! exact LRU: `MemorySubsystem::defer_lap` classifies each of the batch's
+//! loads in closed form from reuse distances (Mattson, Gecsei, Slutz and
+//! Traiger, "Evaluation techniques for storage hierarchies", IBM Systems
+//! Journal, 1970) and keeps the loads as a deferred lap, which a flush
+//! drops and the next load walks first.
 
-use crate::cache::SectoredCache;
+use crate::cache::{ReplacementPolicy, SectoredCache};
 use crate::device::{CacheKind, DeviceConfig, LoadFlags, MemorySpace, Vendor};
+use crate::gpu::Ring;
 use crate::tlb::{Tlb, TlbAccess, TlbSpec};
 
 /// Sentinel for [`MemorySubsystem::tlb_page_shift`]: page size is not a
@@ -84,6 +93,50 @@ pub(crate) struct Route {
     terminal: LoadResolution,
 }
 
+/// The loads of a p-chase batch that were charged in closed form and not
+/// walked: a full lap over `ring` along `route` from `sm`, then `timed`
+/// steps from the ring's start. It carries its own ring, because the
+/// buffers may be freed before a later load replays it.
+#[derive(Debug)]
+struct DeferredLap {
+    route: Route,
+    sm: usize,
+    ring: Ring,
+    timed: u64,
+}
+
+/// Where each load of a p-chase batch resolves, in closed form: the
+/// latency of every element of one period of the ring in the warm-up lap
+/// and in every step after it (see [`MemorySubsystem::defer_lap`]).
+#[derive(Debug)]
+pub(crate) struct ClosedLap {
+    /// Elements in the ring.
+    count: u64,
+    /// Elements per period: the pattern of hits and misses repeats every
+    /// `period` elements.
+    period: u64,
+    /// Latency of each element's warm-up load, over the first
+    /// `period.min(count)` elements.
+    lap: Vec<u32>,
+    /// Latency of each element's load in any later lap.
+    after: Vec<u32>,
+}
+
+impl ClosedLap {
+    /// The warm-up lap's charge: `cost` of each load's latency, summed
+    /// over the ring.
+    pub(crate) fn lap_cycles(&self, cost: impl Fn(u32) -> u64) -> u64 {
+        let sum = |lats: &[u32]| lats.iter().map(|&lat| cost(lat)).sum::<u64>();
+        let rest = (self.count % self.period) as usize;
+        self.count / self.period * sum(&self.lap) + sum(&self.lap[..rest])
+    }
+
+    /// Latency of timed step `step`, which loads element `step mod count`.
+    pub(crate) fn step_latency(&self, step: u64) -> u32 {
+        self.after[(step % self.count % self.period) as usize]
+    }
+}
+
 /// All physical cache instances of one GPU.
 #[derive(Debug)]
 pub struct MemorySubsystem {
@@ -117,6 +170,18 @@ pub struct MemorySubsystem {
     tlb_memo: (u32, u64),
     l1_tlb: Vec<Tlb>,
     l2_tlb: Option<Tlb>,
+
+    /// Whether no load has touched the hierarchy, and no lap was
+    /// deferred, since construction or the last flush: every cache and
+    /// TLB is empty, the state a closed-form lap starts from.
+    pristine: bool,
+    /// Loads charged in closed form that no later load has needed yet.
+    deferred: Option<DeferredLap>,
+    /// Loads walked through [`Self::load_via`] since construction.
+    walked: u64,
+    /// Test switch: take no lap in closed form, walk every load.
+    #[cfg(test)]
+    pub(crate) eager: bool,
 }
 
 impl MemorySubsystem {
@@ -210,6 +275,11 @@ impl MemorySubsystem {
             tlb_memo: NO_TLB_MEMO,
             l1_tlb,
             l2_tlb,
+            pristine: true,
+            deferred: None,
+            walked: 0,
+            #[cfg(test)]
+            eager: false,
         }
     }
 
@@ -236,8 +306,17 @@ impl MemorySubsystem {
         self.l2_segment_of_sm[sm]
     }
 
-    /// Invalidates every cache and TLB on the device.
+    /// Loads walked through the caches on the host since construction
+    /// (see `Gpu::walked_loads`).
+    pub(crate) fn walked_loads(&self) -> u64 {
+        self.walked
+    }
+
+    /// Invalidates every cache and TLB on the device, and drops a deferred
+    /// lap unwalked: the flush would have erased what it left.
     pub fn flush_all(&mut self) {
+        self.pristine = true;
+        self.deferred = None;
         self.tlb_memo = NO_TLB_MEMO;
         for cache in self.levels.iter_mut().flat_map(|l| &mut l.caches) {
             cache.flush();
@@ -312,7 +391,8 @@ impl MemorySubsystem {
     }
 
     /// Walks `route` for one load of `addr` issued from `sm`, which must
-    /// be the SM the route was resolved for.
+    /// be the SM the route was resolved for. A deferred lap is replayed
+    /// first, so the load sees the state walking it would have left.
     ///
     /// The address translates first, when the route does; the walk
     /// penalty rides on top of whatever level services the load. A hit
@@ -320,6 +400,11 @@ impl MemorySubsystem {
     /// not consulted and do not allocate.
     #[inline]
     pub(crate) fn load_via(&mut self, route: &Route, sm: usize, addr: u64) -> LoadResolution {
+        if let Some(lap) = self.deferred.take() {
+            self.replay(lap);
+        }
+        self.pristine = false;
+        self.walked += 1;
         let tlb_penalty = if route.translates {
             self.translate(sm, addr)
         } else {
@@ -341,6 +426,160 @@ impl MemorySubsystem {
             latency: route.terminal.latency + tlb_penalty,
             ..route.terminal
         }
+    }
+
+    /// Takes a p-chase batch — a full warm-up lap over `ring` along
+    /// `route` from `sm`, then `timed` steps from the ring's start — in
+    /// closed form, and keeps its loads as a deferred lap. Returns `None`,
+    /// changing nothing, when the batch must be walked: the hierarchy is
+    /// not pristine, a level on the route is not fully-associative exact
+    /// LRU or its lines do not align with the ring's base, or the route
+    /// translates and the ring's pages overflow a fully-associative L1
+    /// TLB.
+    ///
+    /// From empty caches, each level sees its loads in address order, so
+    /// a one-line register of (line, fetched sectors) per level
+    /// classifies the lap exactly: a new line misses, a new sector of the
+    /// current line sector-misses, anything else hits. The pattern repeats
+    /// every `period` elements, the fewest whose span is a whole number of
+    /// lines at every level, so one period gives each element's lap level
+    /// and each level's distinct lines `L` over the lap. Any later lap
+    /// re-touches a line of a level after the other `L - 1` lines of that
+    /// level, so under exact LRU the level holds the ring iff `L` is at
+    /// most its line capacity: it then hits every load that reaches it,
+    /// and otherwise every line has been evicted again and the level
+    /// repeats its lap behaviour. A later step therefore resolves at the
+    /// first level that holds the ring or at its lap level, whichever
+    /// comes first. Translation costs nothing: first touches are free in
+    /// the lap, and all the ring's pages stay resident in the L1 TLB.
+    pub(crate) fn defer_lap(
+        &mut self,
+        route: &Route,
+        sm: usize,
+        ring: Ring,
+        timed: u64,
+    ) -> Option<ClosedLap> {
+        #[cfg(test)]
+        if self.eager {
+            return None;
+        }
+        if !self.pristine {
+            return None;
+        }
+        let mut levels = Vec::with_capacity(route.steps.len());
+        for step in route.steps.iter().flatten() {
+            let cache = &self.levels[step.level].caches[step.instance];
+            let exact_lru = cache.num_sets() == 1 && cache.policy() == ReplacementPolicy::Lru;
+            if !exact_lru || !ring.base.is_multiple_of(cache.line_size()) {
+                return None;
+            }
+            levels.push((cache, step.latency));
+        }
+        if let (true, Some(spec)) = (route.translates, self.tlb_spec) {
+            let pages = if ring.stride >= spec.page_bytes {
+                ring.count
+            } else {
+                let last = ring.base + (ring.count - 1) * ring.stride;
+                last / spec.page_bytes - ring.base / spec.page_bytes + 1
+            };
+            if !self.l1_tlb[sm].holds(pages) {
+                return None;
+            }
+        }
+
+        let span = levels
+            .iter()
+            .fold(1, |span, (cache, _)| lcm(span, cache.line_size()));
+        let period = span / gcd(span, ring.stride);
+        let scanned = period.min(ring.count);
+        let rest = ring.count % period;
+        // Per level: the line of its last access and the sectors fetched
+        // in it, the lines it has seen, and those of the first `rest`
+        // elements.
+        let mut current = [(u64::MAX, 0u64); 3];
+        let mut lines = [0u64; 3];
+        let mut rest_lines = [0u64; 3];
+        let mut lap_level = Vec::with_capacity(scanned as usize);
+        for e in 0..scanned {
+            if e == rest {
+                rest_lines = lines;
+            }
+            let addr = ring.base + e * ring.stride;
+            let mut resolved = levels.len();
+            for (j, (cache, _)) in levels.iter().enumerate() {
+                let (line, sector) = cache.split_addr(addr);
+                let (current_line, fetched) = &mut current[j];
+                if *current_line != line {
+                    (*current_line, *fetched) = (line, sector);
+                    lines[j] += 1;
+                } else if *fetched & sector == 0 {
+                    *fetched |= sector;
+                } else {
+                    resolved = j;
+                    break;
+                }
+            }
+            lap_level.push(resolved);
+        }
+        if rest == scanned {
+            rest_lines = lines;
+        }
+        let holds: Vec<bool> = levels
+            .iter()
+            .enumerate()
+            .map(|(j, (cache, _))| {
+                ring.count / period * lines[j] + rest_lines[j]
+                    <= cache.capacity() / cache.line_size()
+            })
+            .collect();
+        let latency = |level: usize| levels.get(level).map_or(route.terminal.latency, |l| l.1);
+        let closed = ClosedLap {
+            count: ring.count,
+            period,
+            lap: lap_level.iter().map(|&level| latency(level)).collect(),
+            after: lap_level
+                .iter()
+                .map(|&level| latency((0..level).find(|&j| holds[j]).unwrap_or(level)))
+                .collect(),
+        };
+        self.pristine = false;
+        self.deferred = Some(DeferredLap {
+            route: *route,
+            sm,
+            ring,
+            timed,
+        });
+        Some(closed)
+    }
+
+    /// Walks a deferred lap, noise-free and uncharged, so that the
+    /// hierarchy holds exactly what walking its batch would have left.
+    #[cold]
+    fn replay(&mut self, lap: DeferredLap) {
+        let mut addr = lap.ring.base;
+        for _ in 0..lap.ring.count + lap.timed {
+            self.load_via(&lap.route, lap.sm, addr);
+            addr = lap.ring.next(addr);
+        }
+    }
+
+    /// The hierarchy's state as text, after walking any deferred lap:
+    /// every cache's contents, recency order and index layout, both TLB
+    /// levels and the translation memo. The per-cache hit/miss counters
+    /// are zeroed first, because a lap a flush drops unwalked never
+    /// reaches them.
+    #[cfg(test)]
+    pub(crate) fn state(&mut self) -> String {
+        if let Some(lap) = self.deferred.take() {
+            self.replay(lap);
+        }
+        for cache in self.levels.iter_mut().flat_map(|l| &mut l.caches) {
+            cache.reset_stats();
+        }
+        format!(
+            "{:?} {:?} {:?} {:?}",
+            self.levels, self.l1_tlb, self.l2_tlb, self.tlb_memo
+        )
     }
 
     /// Resolves the route of a load issued from (`sm`, `core`) through
@@ -467,6 +706,18 @@ impl MemorySubsystem {
             })
         })
     }
+}
+
+fn gcd(a: u64, b: u64) -> u64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+fn lcm(a: u64, b: u64) -> u64 {
+    a / gcd(a, b) * b
 }
 
 #[cfg(test)]

@@ -167,6 +167,13 @@ impl Tlb {
         }
     }
 
+    /// Whether the level is fully associative with room for `pages`
+    /// translations at once, so a ring over that many pages stays
+    /// resident under LRU.
+    pub(crate) fn holds(&self, pages: u64) -> bool {
+        self.num_sets == 1 && pages <= self.ways as u64
+    }
+
     /// Drops all translations *and* the first-touch history — a flush
     /// marks a benchmark boundary (freed buffers invalidate their
     /// translations on real drivers too).
