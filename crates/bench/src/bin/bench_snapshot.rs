@@ -26,7 +26,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use mt4g_core::benchmarks::policy::{self, PolicyConfig, PolicyOutcome};
-use mt4g_core::pchase::{run_pchase_with_overhead, PchaseConfig};
+use mt4g_core::pchase::{observe, prepare_chase, run_pchase_with_overhead, warm, PchaseConfig};
 use mt4g_core::serve::{CacheKey, ResultCache};
 use mt4g_core::suite::{execute_plan, DiscoveryConfig, DiscoveryPlan};
 use mt4g_sim::cache::{SectoredCache, FULLY_ASSOCIATIVE};
@@ -113,6 +113,58 @@ fn pchase_workloads(out: &mut Vec<(String, f64)>) {
         });
         out.push((format!("pchase_run/warm_l1_path/{label}"), ns));
     }
+    out.push((
+        "pchase_run/walked_plru_l1/512KiB".to_string(),
+        walked_chase_ns(),
+    ));
+    out.push((
+        "pchase_run/prime_probe/h100_l1".to_string(),
+        prime_probe_ns(),
+    ));
+}
+
+/// A chase the host walks load by load through `load_via`: a warmed
+/// B200 global ring of twice its 256 KiB tree-PLRU L1 at a 32 B stride,
+/// from a flushed hierarchy. The ring overfills an L1 that is not exact
+/// LRU, so no closed form applies. Reports ns per walked load, the
+/// `Gpu::walked_loads` delta as the denominator, and asserts that the
+/// delta is every load of the chase.
+fn walked_chase_ns() -> f64 {
+    let mut gpu = presets::b200();
+    let cfg = PchaseConfig::sequential(MemorySpace::Global, LoadFlags::CACHE_ALL, 512 << 10, 32);
+    let chase = |gpu: &mut Gpu| {
+        gpu.free_all();
+        gpu.flush_caches();
+        let before = gpu.walked_loads();
+        let run = run_pchase_with_overhead(black_box(gpu), &cfg, 8.0).unwrap();
+        let walked = gpu.walked_loads() - before;
+        assert_eq!(walked, run.elements + run.latencies.len() as u64);
+        walked
+    };
+    let walked = chase(&mut gpu);
+    best_ns_per_elem(5, walked, || chase(&mut gpu))
+}
+
+/// The amount benchmark's prime/probe sequence at the H100-80 L1
+/// capacity, at its fetch granularity: flush, warm ring A from core 0,
+/// warm ring B from core 1, observe A for 256 steps. Reports ns per
+/// executed load (both laps and the observation).
+fn prime_probe_ns() -> f64 {
+    let mut gpu = presets::h100_80();
+    let l1 = *gpu.config.cache(CacheKind::L1).expect("H100-80 has an L1");
+    let (space, flags) = (MemorySpace::Global, LoadFlags::CACHE_ALL);
+    let stride = u64::from(l1.fetch_granularity);
+    gpu.free_all();
+    let a = prepare_chase(&mut gpu, space, l1.size, stride).unwrap();
+    let b = prepare_chase(&mut gpu, space, l1.size, stride).unwrap();
+    let loads = a.elements + b.elements + 256;
+    best_ns_per_elem(5, loads, || {
+        gpu.flush_caches();
+        warm(&mut gpu, a, space, flags, 0, 0);
+        warm(&mut gpu, b, space, flags, 0, 1);
+        let lats = observe(black_box(&mut gpu), a, space, flags, 0, 0, 256, 8.0);
+        lats.len() as u64
+    })
 }
 
 /// End-to-end suite wall clock: a fast-mode discovery run over a fixed

@@ -107,6 +107,7 @@ pub fn run(gpu: &mut Gpu, cfg: &AmountConfig) -> AmountResult {
 mod tests {
     use super::*;
     use mt4g_sim::device::{CacheKind, CacheSpec};
+    use mt4g_sim::gpu::GpuStats;
     use mt4g_sim::presets;
 
     fn amount_cfg(gpu: &Gpu, kind: CacheKind, space: MemorySpace) -> AmountConfig {
@@ -130,6 +131,28 @@ mod tests {
             AmountResult::Found {
                 count: 1,
                 witness_core: 0
+            }
+        );
+    }
+
+    /// Each repetition is a prime/probe sequence from a flushed hierarchy
+    /// (warm A from core 0, warm B from core 1 and up, observe A) through
+    /// the fully-associative exact-LRU L1 and L2, so the lap log takes all
+    /// three batches in closed form and not one load is walked on the
+    /// host. The device counters equal those of walking every load, as
+    /// measured before observation passes had a closed form.
+    #[test]
+    fn h100_l1_amount_walks_no_loads() {
+        let mut gpu = presets::h100_80();
+        let cfg = amount_cfg(&gpu, CacheKind::L1, MemorySpace::Global);
+        run(&mut gpu, &cfg);
+        assert_eq!(gpu.walked_loads(), 0);
+        assert_eq!(
+            gpu.stats(),
+            GpuStats {
+                kernels_launched: 22,
+                loads_executed: 108_416,
+                total_cycles: 90_632_280,
             }
         );
     }

@@ -233,6 +233,7 @@ pub fn run(gpu: &mut Gpu, cfg: &ContentionConfig) -> ContentionOutcome {
 mod tests {
     use super::*;
     use mt4g_sim::device::CacheKind;
+    use mt4g_sim::gpu::GpuStats;
     use mt4g_sim::presets;
 
     fn found(gpu: &mut Gpu) -> ContentionMeasurement {
@@ -273,6 +274,26 @@ mod tests {
 
     fn solo_plus_half_gap(solo: f64, l2: f64, backing: f64) -> f64 {
         solo + 0.5 * (backing - l2)
+    }
+
+    /// The victim/polluter co-runs are prime/probe sequences from a
+    /// flushed hierarchy, and the L2 latency reference is one chase, so
+    /// the lap log takes them in closed form. What the host walks is the
+    /// segment classification's raw loads: 8 probe SMs × 5 trials × 3
+    /// loads. The device counters equal those of walking every load.
+    #[test]
+    fn mi210_contention_walks_only_its_raw_loads() {
+        let mut gpu = presets::mi210();
+        found(&mut gpu);
+        assert_eq!(gpu.walked_loads(), 120);
+        assert_eq!(
+            gpu.stats(),
+            GpuStats {
+                kernels_launched: 8,
+                loads_executed: 295_928,
+                total_cycles: 221_974_921,
+            }
+        );
     }
 
     #[test]

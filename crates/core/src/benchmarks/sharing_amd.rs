@@ -152,6 +152,7 @@ pub fn run_windowed(gpu: &mut Gpu, cfg: &CuSharingConfig, span: usize) -> CuShar
 mod tests {
     use super::*;
     use mt4g_sim::device::CacheKind;
+    use mt4g_sim::gpu::GpuStats;
     use mt4g_sim::presets;
 
     fn mi210_cfg(gpu: &Gpu) -> CuSharingConfig {
@@ -184,6 +185,26 @@ mod tests {
         // exclusive sL1d access.
         assert!(partners.iter().any(|p| !p.is_empty()));
         assert!(partners.iter().any(|p| p.is_empty()));
+    }
+
+    /// The windowed scan's CU pairs are prime/probe sequences through the
+    /// scalar path from a flushed hierarchy, so the lap log takes each in
+    /// closed form and none walks a load on the host. The device counters
+    /// equal those of walking every load.
+    #[test]
+    fn mi210_windowed_sharing_walks_no_loads() {
+        let mut gpu = presets::mi210();
+        let cfg = mi210_cfg(&gpu);
+        run_windowed(&mut gpu, &cfg, 4);
+        assert_eq!(gpu.walked_loads(), 0);
+        assert_eq!(
+            gpu.stats(),
+            GpuStats {
+                kernels_launched: 1219,
+                loads_executed: 311_808,
+                total_cycles: 167_468_178,
+            }
+        );
     }
 
     #[test]

@@ -193,6 +193,7 @@ pub fn nvidia_probes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mt4g_sim::gpu::GpuStats;
     use mt4g_sim::presets;
 
     fn h100_probes(gpu: &Gpu) -> Vec<SpaceProbe> {
@@ -229,6 +230,26 @@ mod tests {
             vec![CacheKind::L1, CacheKind::Readonly]
         );
         assert_eq!(get(CacheKind::ConstL1), vec![]);
+    }
+
+    /// Every pair probe warms two rings from SM 0 and observes the first
+    /// again, all from a flushed hierarchy, so the lap log takes each
+    /// probe in closed form and the twelve probes walk no load on the
+    /// host. The device counters equal those of walking every load.
+    #[test]
+    fn h100_sharing_groups_walk_no_loads() {
+        let mut gpu = presets::h100_80();
+        let probes = h100_probes(&gpu);
+        sharing_groups(&mut gpu, &probes, false);
+        assert_eq!(gpu.walked_loads(), 0);
+        assert_eq!(
+            gpu.stats(),
+            GpuStats {
+                kernels_launched: 48,
+                loads_executed: 142_656,
+                total_cycles: 119_081_896,
+            }
+        );
     }
 
     #[test]

@@ -35,10 +35,10 @@
 //! # Storage
 //!
 //! * **Fully associative** — every load the host walks lands here: scans
-//!   through non-LRU L1s, cold chases, multi-actor passes and raw loads,
-//!   and replays of deferred laps (a warm-up lap over exact-LRU levels
-//!   from a flushed hierarchy is charged in closed form instead, see
-//!   `hierarchy.rs`). So the data layout matters: a
+//!   that overfill a non-LRU L1, cold chases, raw loads, and replays of
+//!   the lap log (the laps and observation pass of a prime/probe
+//!   sequence from a flushed hierarchy are charged in closed form
+//!   instead, see `hierarchy.rs`). So the data layout matters: a
 //!   two-level index (`LineIndex`) maps line addresses to a slot arena.
 //!   Its first level is a small open-addressed directory keyed by aligned
 //!   64-line pages, with the keys inline; its second is a dense block of
@@ -1027,6 +1027,17 @@ impl SectoredCache {
                 .map(|slot| fa.slots[slot as usize].valid_sectors & sector_bit != 0)
                 .unwrap_or(false),
             Organization::FullyAssociativePolicy(fa) => fa.probe(line_addr, sector_bit),
+        }
+    }
+
+    /// Lines resident in a fully-associative cache: its slot arena only
+    /// grows until the cache is full, and an eviction re-uses its slot.
+    #[cfg(test)]
+    pub(crate) fn resident_lines(&self) -> u64 {
+        match &self.org {
+            Organization::FullyAssociative(fa) => fa.slots.len() as u64,
+            Organization::FullyAssociativePolicy(fa) => fa.slots.len() as u64,
+            Organization::SetAssociative(_) => unimplemented!("no preset builds one"),
         }
     }
 

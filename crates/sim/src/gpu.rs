@@ -11,10 +11,11 @@
 //! Device memory stores no words. A buffer is bookkeeping (base and
 //! length), and a p-chase ring made by [`Gpu::init_pchase`] is a value —
 //! base, stride, element count — whose element `i` reads as its
-//! successor's index, `i + 1 mod count`. Because a ring is a value, a
-//! warm-up lap over it from a flushed hierarchy has a closed form on
-//! fully-associative exact-LRU levels, and [`Gpu::pchase_batch`] charges
-//! such a lap without walking it.
+//! successor's index, `i + 1 mod count`. Because a ring is a value, the
+//! chases of a prime/probe sequence from a flushed hierarchy — laps over
+//! disjoint rings, then one pass that re-chases one of them — have a
+//! closed form on fully-associative levels, and [`Gpu::pchase_batch`]
+//! charges them without walking them.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -109,8 +110,10 @@ pub struct LaunchResult {
 /// warm-up). Field semantics mirror the kernel builder's parameters,
 /// except that `base` must start a ring of stride `elem_bytes` made by
 /// [`Gpu::init_pchase`]: the batch steps that ring without reading
-/// memory, and a warm-up of exactly one lap of it may be charged in
-/// closed form (see [`Gpu::pchase_batch`]).
+/// memory. A batch whose warm-up is exactly one lap of the ring, or an
+/// observation pass (no warm-up, at most one lap of timed steps) over a
+/// ring an earlier batch warmed, may be charged in closed form (see
+/// [`Gpu::pchase_batch`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PchaseBatch {
     /// Device base address of the chase ring (its first element).
@@ -246,10 +249,10 @@ impl Gpu {
 
     /// Loads walked on the host through the memory subsystem since
     /// construction: eager batch loads, raw loads, interpreter loads and
-    /// replays of deferred laps. This is host work, not a device
-    /// statistic: a lap charged in closed form counts in
+    /// replays of the lap log. This is host work, not a device statistic:
+    /// a batch charged in closed form counts in
     /// [`GpuStats::loads_executed`] at once, and here only if a later load
-    /// replays it.
+    /// replays it before a flush drops it.
     pub fn walked_loads(&self) -> u64 {
         self.mem.walked_loads()
     }
@@ -281,11 +284,15 @@ impl Gpu {
         Ok(BufferId(self.buffers.len() - 1))
     }
 
-    /// Frees all buffers (keeps cache state).
+    /// Frees all buffers (keeps cache state). Later allocations re-use
+    /// their addresses, so a ring made after this could alias one the lap
+    /// log holds: a non-empty log takes no further batch until the next
+    /// [`Self::flush_caches`] (see [`Self::pchase_batch`]).
     pub fn free_all(&mut self) {
         self.buffers.clear();
         self.next_base = 0x1_0000;
         self.allocated = 0;
+        self.mem.buffers_freed();
     }
 
     /// Device base address of a buffer.
@@ -325,7 +332,7 @@ impl Gpu {
     }
 
     /// Invalidates all caches (a new benchmark's pristine state), and
-    /// drops a deferred lap unwalked.
+    /// drops the lap log unwalked.
     pub fn flush_caches(&mut self) {
         self.mem.flush_all();
     }
@@ -368,14 +375,22 @@ impl Gpu {
     /// consumes no RNG: a chase's draws, and so the noise its records
     /// see, do not depend on how long its warm-up lap was.
     ///
-    /// A warm-up of exactly one lap over a ring, from a flushed hierarchy,
-    /// along a route of fully-associative exact-LRU levels, is not walked:
-    /// the hierarchy classifies every load of the batch in closed form,
-    /// the lap is charged as a sum, and each timed step still draws its
-    /// noise sample in order. The batch's loads are kept as a deferred
-    /// lap that `flush_caches` drops and that the next load — a raw load,
-    /// another batch or an interpreted `Load` — walks first, so every
-    /// later observation sees the state the walk would have left
+    /// Every batch is offered to the hierarchy's lap log, which holds the
+    /// batches charged in closed form since the last flush and takes two
+    /// kinds: a warm-up of exactly one lap over a ring (with or without
+    /// timed steps after it), and an observation pass — no warm-up, at
+    /// most one lap of timed steps — over a ring the log holds as a
+    /// warm-only lap from the same SM and route. Until a load is walked,
+    /// the log takes laps over disjoint rings and then one observation
+    /// pass, as long as every level on the routes is fully associative
+    /// and each level that is not exact LRU has room for every line the
+    /// log brings into it.
+    /// A logged batch is not walked: the hierarchy classifies its loads
+    /// in closed form given the batches before it, a lap is charged as a
+    /// sum, and each timed step still draws its noise sample in order.
+    /// `flush_caches` drops the log, and the next walked load — a raw
+    /// load, another batch or an interpreted `Load` — replays it first,
+    /// so every later observation sees the state the walk would have left
     /// (`deferred_laps_match_the_eager_walk` pins this).
     ///
     /// # Panics
@@ -406,16 +421,16 @@ impl Gpu {
         let ring = self
             .ring_at(batch.base, batch.elem_bytes)
             .expect("a p-chase batch starts a ring of its stride");
-        let closed = if ring.count == batch.warm_steps {
-            self.mem.defer_lap(&route, sm, ring, batch.timed_steps)
-        } else {
-            None
-        };
+        let closed = self
+            .mem
+            .defer_lap(&route, sm, ring, batch.warm_steps, batch.timed_steps);
 
         // Warm-up pass: Load + MulImm + Add + BranchDecNz per element.
         let warm_cost = |latency: u32| latency.max(1) as u64 + 3 * ALU_COST;
         if let Some(closed) = &closed {
-            self.cycle += closed.lap_cycles(warm_cost);
+            if warms {
+                self.cycle += closed.lap_cycles(warm_cost);
+            }
         } else {
             let mut addr = batch.base;
             for _ in 0..batch.warm_steps {
@@ -1049,21 +1064,38 @@ mod tests {
     /// Deferred laps against the eager walk, differentially: random cache
     /// geometry (non-power-of-two lines included), strides of 4–4096 B,
     /// rings around one level's capacity, every route kind, no TLB or an
-    /// L1 TLB that does or does not cover the ring's pages, a planted
+    /// L1 TLB that does or does not cover the rings' pages, a planted
     /// non-LRU level, every noise model, and a random follow-up (none;
     /// raw loads over the ring; a second batch without a flush; flush,
-    /// batch, then a raw load; an interpreter chase kernel). The two
-    /// sides must agree on every output, `GpuStats`, the clock, the RNG
-    /// position and the hierarchy's state (hit/miss counters aside).
+    /// batch, then a raw load; an interpreter chase kernel; or, most
+    /// often, a prime/probe sequence: the first batch warms ring A only,
+    /// 1–3 other rings are warmed on random routes, SMs and cores, ring A
+    /// is observed again, and sometimes a raw load follows; a `free_all`
+    /// before the other rings sometimes lets them re-use A's addresses).
+    /// The two sides must agree on every output, `GpuStats`, the clock,
+    /// the RNG position and the hierarchy's state (hit/miss counters
+    /// aside). A planted level may take batches in closed form only while
+    /// the log never fills it: a third, eager walk with room for every
+    /// line at that level counts the lines the log brought into each of
+    /// its instances.
     #[test]
     fn deferred_laps_match_the_eager_walk() {
         use crate::cache::ReplacementPolicy;
         use crate::tlb::TlbSpec;
         use rand::Rng;
 
+        /// Which walk a run takes: closed forms forced off, allowed, or
+        /// forced off with the planted level given room for every line.
+        #[derive(Clone, Copy, PartialEq)]
+        enum Walk {
+            Eager,
+            Fast,
+            Roomy,
+        }
+
         const CASES: usize = 4000;
         let mut rng = ChaCha8Rng::seed_from_u64(0x1a95);
-        let mut deferred = 0;
+        let (mut deferred, mut prime_probe_closed, mut planted_closed) = (0, 0, 0);
         for case in 0..CASES {
             let amd = rng.gen_bool(0.4);
             let mut cfg = if amd {
@@ -1087,13 +1119,15 @@ mod tests {
                 spec.fetch_granularity = sectors[rng.gen_range(0..sectors.len())];
                 spec.size = rng.gen_range(1..=48u64) * line as u64;
             }
+            let unified = cfg.sharing.l1_tex_ro_unified;
+            let cores = cfg.chip.cores_per_sm as usize;
             let routes: &[(MemorySpace, LoadFlags)] =
                 if amd { &AMD_ROUTES } else { &NVIDIA_ROUTES };
             // Routes through caches are drawn more often than the
             // volatile and scratchpad routes, which walk none.
             let (space, flags, levels) = loop {
                 let (space, flags) = routes[rng.gen_range(0..routes.len())];
-                let levels = route_levels(space, flags, cfg.sharing.l1_tex_ro_unified);
+                let levels = route_levels(space, flags, unified);
                 if !levels.is_empty() || rng.gen_bool(0.3) {
                     break (space, flags, levels);
                 }
@@ -1123,27 +1157,30 @@ mod tests {
             let noise = [NoiseModel::DEFAULT, NoiseModel::HOSTILE, NoiseModel::NONE]
                 [rng.gen_range(0..3usize)];
 
-            let stride: u64 = match rng.gen_range(0..4u32) {
-                0 => [4u64, 8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 4096]
-                    [rng.gen_range(0..12usize)],
-                1 => 4 * rng.gen_range(1..=1024u64),
-                _ => 4 * rng.gen_range(1..=64u64),
+            // A ring for `space`: a stride, and a size around the capacity
+            // of one level of the route (or, if `small`, a fraction of it).
+            let draw_ring = |r: &mut ChaCha8Rng, space: MemorySpace, levels: &[CacheKind]| {
+                let stride: u64 = match r.gen_range(0..4u32) {
+                    0 => [4u64, 8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 4096]
+                        [r.gen_range(0..12usize)],
+                    1 => 4 * r.gen_range(1..=1024u64),
+                    _ => 4 * r.gen_range(1..=64u64),
+                };
+                let (capacity, line) = levels
+                    .get(r.gen_range(0..levels.len().max(1)))
+                    .and_then(|&kind| cfg.cache(kind))
+                    .map_or((r.gen_range(1..=48u64), 64u64), |spec| {
+                        (spec.lines(), spec.line_size as u64)
+                    });
+                let lines: u64 = (capacity + r.gen_range(0..=6u64)).saturating_sub(3).max(1);
+                let jitter = [0, stride, r.gen_range(0..line)][r.gen_range(0..3usize)];
+                let mut bytes = (lines * stride.max(line)).saturating_sub(jitter).max(4);
+                if space == MemorySpace::Constant {
+                    bytes = bytes.min(CONSTANT_ARRAY_LIMIT);
+                }
+                (stride, bytes)
             };
-            // A ring around the capacity of one level of the route.
-            let (capacity, line) = levels
-                .get(rng.gen_range(0..levels.len().max(1)))
-                .and_then(|&kind| cfg.cache(kind))
-                .map_or((rng.gen_range(1..=48u64), 64u64), |spec| {
-                    (spec.lines(), spec.line_size as u64)
-                });
-            let lines: u64 = (capacity + rng.gen_range(0..=6u64))
-                .saturating_sub(3)
-                .max(1);
-            let jitter = [0, stride, rng.gen_range(0..line)][rng.gen_range(0..3usize)];
-            let mut bytes = (lines * stride.max(line)).saturating_sub(jitter).max(4);
-            if space == MemorySpace::Constant {
-                bytes = bytes.min(CONSTANT_ARRAY_LIMIT);
-            }
+            let (stride, bytes) = draw_ring(&mut rng, space, &levels);
             let n = (bytes / stride).max(1);
             // Empty allocations before the ring move its base a page at a
             // time from 0x1_0000. Few bases align to a 48, 80 or 96 B line,
@@ -1159,18 +1196,25 @@ mod tests {
                 true => (0..64).find(aligned).expect("a base aligned to every line"),
                 false => rng.gen_range(0..15),
             };
+            let follow_up = rng.gen_range(0..8u32);
+            // Follow-ups 5–7 are prime/probe sequences, which start by
+            // warming ring A only.
+            let prime_probe = follow_up >= 5;
             let warm_steps = match rng.gen_range(0..20u32) {
+                _ if prime_probe => n,
                 0 => 0,
                 1 => n + 1,
                 2 => n - 1,
                 _ => n,
             };
-            let timed_steps = rng.gen_range((warm_steps == 0) as u64..=300);
+            let timed_steps = match prime_probe {
+                true => 0,
+                false => rng.gen_range((warm_steps == 0) as u64..=300),
+            };
             let max_records = rng.gen_range(0..=300usize);
             let sm = rng.gen_range(0..8usize);
-            let core = rng.gen_range(0..cfg.chip.cores_per_sm as usize);
+            let core = rng.gen_range(0..cores);
             let touch_first = rng.gen_bool(0.05);
-            let follow_up = rng.gen_range(0..5u32);
             let follow_seed: u64 = rng.gen();
             let ctx = format!(
                 "case {case}: {space:?} {flags:?} stride {stride} bytes {bytes} \
@@ -1184,11 +1228,28 @@ mod tests {
                     .collect::<Vec<_>>()
             );
 
-            let run = |eager: bool| {
-                let mut g = Gpu::with_seed(cfg.clone(), case as u64);
+            // One run: the device, its outputs and, per batch, whether it
+            // walked no load and the most lines an instance of the planted
+            // level holds after it.
+            let run = |walk: Walk| {
+                let mut cfg = cfg.clone();
+                if let (Walk::Roomy, Some((kind, _))) = (walk, planted) {
+                    for (_, spec) in cfg.caches.iter_mut().filter(|(k, _)| *k == kind) {
+                        spec.size = (spec.line_size as u64) << 16;
+                    }
+                }
+                let mut g = Gpu::with_seed(cfg, case as u64);
                 g.set_noise(noise);
-                g.mem.eager = eager;
+                g.mem.eager = walk != Walk::Fast;
                 let mut out = Vec::new();
+                let mut batches = Vec::new();
+                let mut chase = |g: &mut Gpu, out: &mut Vec<String>, sm, core, batch: &_| {
+                    let walked = g.walked_loads();
+                    let records = if out.is_empty() { max_records } else { 256 };
+                    out.push(format!("{:?}", g.pchase_batch(sm, core, batch, records)));
+                    let fill = planted.map_or(0, |(kind, _)| g.mem.resident_lines(kind));
+                    batches.push((g.walked_loads() == walked, fill));
+                };
                 for _ in 0..fillers {
                     g.alloc(MemorySpace::Global, 0).unwrap();
                 }
@@ -1206,11 +1267,7 @@ mod tests {
                     space,
                     flags,
                 };
-                out.push(format!(
-                    "{:?}",
-                    g.pchase_batch(sm, core, &batch, max_records)
-                ));
-                let walked = g.walked_loads();
+                chase(&mut g, &mut out, sm, core, &batch);
                 let mut f = ChaCha8Rng::seed_from_u64(follow_seed);
                 let element = |f: &mut ChaCha8Rng| base + f.gen_range(0..n) * stride;
                 match follow_up {
@@ -1238,8 +1295,7 @@ mod tests {
                             flags,
                             ..batch
                         };
-                        let from = f.gen_range(0..8usize);
-                        out.push(format!("{:?}", g.pchase_batch(from, core, &again, 256)));
+                        chase(&mut g, &mut out, f.gen_range(0..8usize), core, &again);
                     }
                     3 => {
                         // The flushed ring again: a flush keeps each
@@ -1251,11 +1307,11 @@ mod tests {
                             timed_steps: f.gen_range(0..=300u64),
                             ..batch
                         };
-                        out.push(format!("{:?}", g.pchase_batch(sm, core, &again, 256)));
+                        chase(&mut g, &mut out, sm, core, &again);
                         let addr = element(&mut f);
                         out.push(format!("{:?}", g.raw_load(sm, core, space, flags, addr)));
                     }
-                    _ => {
+                    4 => {
                         if f.gen_bool(0.3) {
                             g.free_all();
                         }
@@ -1271,26 +1327,97 @@ mod tests {
                         );
                         out.push(format!("{:?}", g.launch(sm, core, &kernel, 256)));
                     }
+                    _ => {
+                        let freed = f.gen_bool(0.2);
+                        if freed {
+                            // The first ring then starts a page below A
+                            // and re-uses A's addresses.
+                            g.free_all();
+                            for _ in 1..fillers {
+                                g.alloc(MemorySpace::Global, 0).unwrap();
+                            }
+                        }
+                        for _ in 0..f.gen_range(1..=3u32) {
+                            let (space, flags) = routes[f.gen_range(0..routes.len())];
+                            let levels = route_levels(space, flags, unified);
+                            let (stride, bytes) = draw_ring(&mut f, space, &levels);
+                            let buf = g.alloc(space, bytes).unwrap();
+                            let n = g.init_pchase(buf, bytes, stride);
+                            let timed_steps = match f.gen_bool(0.3) {
+                                true => f.gen_range(1..=300u64),
+                                false => 0,
+                            };
+                            let other = PchaseBatch {
+                                base: g.buffer_base(buf),
+                                elem_bytes: stride,
+                                warm_steps: n,
+                                timed_steps,
+                                space,
+                                flags,
+                            };
+                            let (sm, core) = (f.gen_range(0..8usize), f.gen_range(0..cores));
+                            chase(&mut g, &mut out, sm, core, &other);
+                        }
+                        let mut observe = batch;
+                        if freed {
+                            // Ring A is made again, after the rings that
+                            // took its addresses.
+                            let buf = g.alloc(space, bytes).unwrap();
+                            g.init_pchase(buf, bytes, stride);
+                            observe.base = g.buffer_base(buf);
+                        }
+                        let steps = f.gen_range(1..=300u64);
+                        observe.warm_steps = 0;
+                        observe.timed_steps = if f.gen_bool(0.8) { steps.min(n) } else { steps };
+                        let (from, from_core) = match f.gen_bool(0.8) {
+                            true => (sm, core),
+                            false => (f.gen_range(0..8usize), f.gen_range(0..cores)),
+                        };
+                        chase(&mut g, &mut out, from, from_core, &observe);
+                        if f.gen_bool(0.3) {
+                            let (from, addr) = (f.gen_range(0..8usize), element(&mut f));
+                            out.push(format!("{:?}", g.raw_load(from, core, space, flags, addr)));
+                        }
+                    }
                 }
-                (g, out, walked)
+                (g, out, batches)
             };
-            let (mut eager, eager_out, eager_walked) = run(true);
-            let (mut fast, fast_out, fast_walked) = run(false);
+            let (mut eager, eager_out, _) = run(Walk::Eager);
+            let (mut fast, fast_out, fast_batches) = run(Walk::Fast);
+            let fast_walked = fast.walked_loads();
             assert_eq!(eager_out, fast_out, "{ctx}");
             assert_eq!(eager.stats(), fast.stats(), "{ctx}");
             assert_eq!(eager.elapsed_cycles(), fast.elapsed_cycles(), "{ctx}");
             assert_eq!(eager.rng, fast.rng, "RNG position: {ctx}");
             assert_eq!(eager.mem.state(), fast.mem.state(), "hierarchy: {ctx}");
-            let closed_form = fast_walked < eager_walked;
-            assert!(
-                !(closed_form && planted.is_some()),
-                "a non-LRU route was deferred: {ctx}"
-            );
-            deferred += closed_form as usize;
+            deferred += fast_batches[0].0 as usize;
+            prime_probe_closed += (prime_probe && fast_walked == 0) as usize;
+            if let Some((kind, policy)) = planted {
+                let (_, _, roomy_batches) = run(Walk::Roomy);
+                let capacity = cfg.cache(kind).unwrap().lines();
+                for (k, (&(closed, _), &(_, fill))) in
+                    fast_batches.iter().zip(&roomy_batches).enumerate()
+                {
+                    assert!(
+                        !closed || fill <= capacity,
+                        "batch {k} was deferred, but the log brought {fill} lines into \
+                         a {policy:?} level of {capacity}: {ctx}"
+                    );
+                }
+                planted_closed += fast_batches.iter().any(|&(closed, _)| closed) as usize;
+            }
         }
         assert!(
             deferred * 2 > CASES,
-            "only {deferred} of {CASES} cases took the closed form"
+            "only {deferred} of {CASES} cases took their first batch in closed form"
+        );
+        assert!(
+            prime_probe_closed >= 150,
+            "only {prime_probe_closed} prime/probe sequences walked no load"
+        );
+        assert!(
+            planted_closed >= 110,
+            "only {planted_closed} cases with a planted non-LRU level took a closed form"
         );
     }
 }

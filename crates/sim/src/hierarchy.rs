@@ -21,13 +21,18 @@
 //! [`MemorySubsystem::load`] does both on every call; a batched p-chase
 //! resolves its route once and walks it for every load.
 //!
-//! A full warm-up lap over a chase ring from a flushed hierarchy need not
-//! be walked at all when every level on its route is fully associative
-//! exact LRU: `MemorySubsystem::defer_lap` classifies each of the batch's
-//! loads in closed form from reuse distances (Mattson, Gecsei, Slutz and
-//! Traiger, "Evaluation techniques for storage hierarchies", IBM Systems
-//! Journal, 1970) and keeps the loads as a deferred lap, which a flush
-//! drops and the next load walks first.
+//! The p-chase batches issued from a flushed hierarchy need not be walked
+//! at all while every level on their routes is fully associative:
+//! `MemorySubsystem::defer_lap` classifies each batch's loads in closed
+//! form from reuse distances (Mattson, Gecsei, Slutz and Traiger,
+//! "Evaluation techniques for storage hierarchies", IBM Systems Journal,
+//! 1970), given the batches before it, and appends the batch to a log:
+//! full laps over disjoint rings, then at most one observation pass that
+//! re-chases a ring the log holds — the prime/probe sequence of the
+//! amount, sharing and contention benchmarks. Exact-LRU levels qualify
+//! whatever the log brings into them, any other policy while the log
+//! never fills the level. A flush drops the log, and the next walked load
+//! replays it first.
 
 use crate::cache::{ReplacementPolicy, SectoredCache};
 use crate::device::{CacheKind, DeviceConfig, LoadFlags, MemorySpace, Vendor};
@@ -67,7 +72,7 @@ struct Level {
 
 /// One level of a [`Route`]: the instance to try and what a hit there
 /// reports.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Step {
     /// Index into the subsystem's level table.
     level: usize,
@@ -83,7 +88,7 @@ struct Step {
 /// (SM, core), the memory space and the flags, never on the address or
 /// on cache contents, so one route serves every load of a p-chase.
 /// Scratchpad loads resolve to a flat-latency route with no steps.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Route {
     steps: [Option<Step>; 3],
     /// Whether the loads translate their address through the TLBs
@@ -93,21 +98,56 @@ pub(crate) struct Route {
     terminal: LoadResolution,
 }
 
-/// The loads of a p-chase batch that were charged in closed form and not
-/// walked: a full lap over `ring` along `route` from `sm`, then `timed`
-/// steps from the ring's start. It carries its own ring, because the
-/// buffers may be freed before a later load replays it.
+/// One entry of the lap log: a p-chase batch charged in closed form and
+/// not walked. It loads `ring` along `route` from `sm` — `warm` untimed
+/// steps, then `timed` steps from the ring's start — and carries its own
+/// ring, because the buffers may be freed before a later load replays it.
 #[derive(Debug)]
-struct DeferredLap {
+struct LoggedBatch {
     route: Route,
     sm: usize,
     ring: Ring,
+    /// A full lap (the ring's element count), or 0 for an observation
+    /// pass.
+    warm: u64,
     timed: u64,
+    /// Distinct lines the batch brings into the instance of each route
+    /// step, in route order.
+    lines: [u64; 3],
+}
+
+impl LoggedBatch {
+    /// Lines the batch brings into the instance `step` tries.
+    fn lines_in(&self, step: &Step) -> u64 {
+        self.route
+            .steps
+            .iter()
+            .zip(self.lines)
+            .filter(|(s, _)| {
+                s.is_some_and(|s| (s.level, s.instance) == (step.level, step.instance))
+            })
+            .map(|(_, lines)| lines)
+            .sum()
+    }
+}
+
+/// A lap over a ring through caches that hold none of its lines, one
+/// period of it: the pattern of hits and misses repeats every `period`
+/// elements.
+struct LapScan {
+    period: u64,
+    /// The level each of the first `period.min(count)` elements resolves
+    /// at: an index into the route's caches, their count for the
+    /// terminal level.
+    lap_level: Vec<usize>,
+    /// Distinct lines the lap brings into each cache.
+    lines: [u64; 3],
 }
 
 /// Where each load of a p-chase batch resolves, in closed form: the
-/// latency of every element of one period of the ring in the warm-up lap
-/// and in every step after it (see [`MemorySubsystem::defer_lap`]).
+/// latency of every element of one period of the ring in a warm-up lap
+/// over it from caches that hold none of its lines, and in every timed
+/// step of the batch (see [`MemorySubsystem::defer_lap`]).
 #[derive(Debug)]
 pub(crate) struct ClosedLap {
     /// Elements in the ring.
@@ -118,7 +158,7 @@ pub(crate) struct ClosedLap {
     /// Latency of each element's warm-up load, over the first
     /// `period.min(count)` elements.
     lap: Vec<u32>,
-    /// Latency of each element's load in any later lap.
+    /// Latency of each element's load in a timed step of the batch.
     after: Vec<u32>,
 }
 
@@ -171,12 +211,14 @@ pub struct MemorySubsystem {
     l1_tlb: Vec<Tlb>,
     l2_tlb: Option<Tlb>,
 
-    /// Whether no load has touched the hierarchy, and no lap was
-    /// deferred, since construction or the last flush: every cache and
-    /// TLB is empty, the state a closed-form lap starts from.
-    pristine: bool,
-    /// Loads charged in closed form that no later load has needed yet.
-    deferred: Option<DeferredLap>,
+    /// The lap log: every batch charged in closed form since the last
+    /// flush, in order, that no walked load has needed yet. Walking them
+    /// would leave the caches and TLBs as the eager walk did.
+    log: Vec<LoggedBatch>,
+    /// Whether a batch may still join the log: no load was walked since
+    /// construction or the last flush, the log holds no observation pass,
+    /// and no buffer was freed while it held a ring.
+    open: bool,
     /// Loads walked through [`Self::load_via`] since construction.
     walked: u64,
     /// Test switch: take no lap in closed form, walk every load.
@@ -275,8 +317,8 @@ impl MemorySubsystem {
             tlb_memo: NO_TLB_MEMO,
             l1_tlb,
             l2_tlb,
-            pristine: true,
-            deferred: None,
+            log: Vec::new(),
+            open: true,
             walked: 0,
             #[cfg(test)]
             eager: false,
@@ -312,11 +354,11 @@ impl MemorySubsystem {
         self.walked
     }
 
-    /// Invalidates every cache and TLB on the device, and drops a deferred
-    /// lap unwalked: the flush would have erased what it left.
+    /// Invalidates every cache and TLB on the device, and drops the lap
+    /// log unwalked: the flush would have erased what it left.
     pub fn flush_all(&mut self) {
-        self.pristine = true;
-        self.deferred = None;
+        self.open = true;
+        self.log.clear();
         self.tlb_memo = NO_TLB_MEMO;
         for cache in self.levels.iter_mut().flat_map(|l| &mut l.caches) {
             cache.flush();
@@ -324,6 +366,13 @@ impl MemorySubsystem {
         for tlb in self.l1_tlb.iter_mut().chain(self.l2_tlb.as_mut()) {
             tlb.flush();
         }
+    }
+
+    /// Notes that every buffer was freed. `alloc` hands the same
+    /// addresses out again, so a new ring could alias one the log holds:
+    /// a non-empty log takes no further batch until the next flush.
+    pub(crate) fn buffers_freed(&mut self) {
+        self.open &= self.log.is_empty();
     }
 
     /// Translates `addr` for a load issued from `sm` and returns the walk
@@ -391,7 +440,7 @@ impl MemorySubsystem {
     }
 
     /// Walks `route` for one load of `addr` issued from `sm`, which must
-    /// be the SM the route was resolved for. A deferred lap is replayed
+    /// be the SM the route was resolved for. The lap log is replayed
     /// first, so the load sees the state walking it would have left.
     ///
     /// The address translates first, when the route does; the walk
@@ -400,10 +449,10 @@ impl MemorySubsystem {
     /// not consulted and do not allocate.
     #[inline]
     pub(crate) fn load_via(&mut self, route: &Route, sm: usize, addr: u64) -> LoadResolution {
-        if let Some(lap) = self.deferred.take() {
-            self.replay(lap);
+        if !self.log.is_empty() {
+            self.replay();
         }
-        self.pristine = false;
+        self.open = false;
         self.walked += 1;
         let tlb_penalty = if route.translates {
             self.translate(sm, addr)
@@ -428,150 +477,196 @@ impl MemorySubsystem {
         }
     }
 
-    /// Takes a p-chase batch — a full warm-up lap over `ring` along
-    /// `route` from `sm`, then `timed` steps from the ring's start — in
-    /// closed form, and keeps its loads as a deferred lap. Returns `None`,
-    /// changing nothing, when the batch must be walked: the hierarchy is
-    /// not pristine, a level on the route is not fully-associative exact
-    /// LRU or its lines do not align with the ring's base, or the route
-    /// translates and the ring's pages overflow a fully-associative L1
-    /// TLB.
+    /// Takes a p-chase batch along `route` from `sm` — `warm` untimed
+    /// steps over `ring`, then `timed` steps from its start — in closed
+    /// form, and appends it to the lap log. Two kinds of batch qualify: a
+    /// full lap (`warm` is the ring's element count) with or without
+    /// timed steps, and an observation pass (`warm` is 0) over a ring the
+    /// log holds. Returns `None`, changing nothing, when the batch must be
+    /// walked:
     ///
-    /// From empty caches, each level sees its loads in address order, so
-    /// a one-line register of (line, fetched sectors) per level
-    /// classifies the lap exactly: a new line misses, a new sector of the
-    /// current line sector-misses, anything else hits. The pattern repeats
-    /// every `period` elements, the fewest whose span is a whole number of
+    /// * it is neither kind;
+    /// * the log is closed: a load was walked since the last flush, the
+    ///   log holds an observation pass, or buffers were freed while it
+    ///   held a ring;
+    /// * a step of the route is not a fully-associative cache whose line
+    ///   size divides the ring's base;
+    /// * a lap's ring starts where a logged ring does. Distinct live
+    ///   buffers never share a line (`alloc` leaves a guard page between
+    ///   them), so every other ring's lines are disjoint from the log's;
+    /// * the route translates, and the pages of the rings the log chases
+    ///   from `sm` overflow a fully-associative L1 TLB;
+    /// * a level that is not exact LRU would receive more distinct lines
+    ///   from the log than it has room for;
+    /// * an observation pass has more steps than the ring has elements,
+    ///   or its ring is not logged as a warm-only lap along the same
+    ///   route from the same SM.
+    ///
+    /// A lap's lines are new to every cache, so it classifies as if from
+    /// a flush: each level sees the lap's loads in address order, and a
+    /// one-line register of (line, fetched sectors) per level classifies
+    /// them exactly — a new line misses, a new sector of the current line
+    /// sector-misses, anything else hits — because the current line was
+    /// touched last and is never the victim. The pattern repeats every
+    /// `period` elements, the fewest whose span is a whole number of
     /// lines at every level, so one period gives each element's lap level
-    /// and each level's distinct lines `L` over the lap. Any later lap
-    /// re-touches a line of a level after the other `L - 1` lines of that
-    /// level, so under exact LRU the level holds the ring iff `L` is at
-    /// most its line capacity: it then hits every load that reaches it,
-    /// and otherwise every line has been evicted again and the level
-    /// repeats its lap behaviour. A later step therefore resolves at the
+    /// and each level's distinct lines `L` over the lap.
+    ///
+    /// A later load re-touches a line of the ring after the other `L - 1`
+    /// lines of its level, plus every line the batches logged after the
+    /// ring brought into the same instance: under exact LRU the level
+    /// holds the ring iff those lines fit its line capacity, and then
+    /// every load that reaches it hits; otherwise every line has been
+    /// evicted again and the level repeats its lap behaviour. A level of
+    /// any other policy evicts nothing while the log fits it (every
+    /// fully-associative policy fills a free slot before it evicts, and
+    /// random replacement draws its victim stream only when full), so it
+    /// holds every logged ring. A later step therefore resolves at the
     /// first level that holds the ring or at its lap level, whichever
-    /// comes first. Translation costs nothing: first touches are free in
-    /// the lap, and all the ring's pages stay resident in the L1 TLB.
+    /// comes first. Translation costs nothing: first touches are free,
+    /// and every logged page stays in its SM's L1 TLB.
     pub(crate) fn defer_lap(
         &mut self,
         route: &Route,
         sm: usize,
         ring: Ring,
+        warm: u64,
         timed: u64,
     ) -> Option<ClosedLap> {
         #[cfg(test)]
         if self.eager {
             return None;
         }
-        if !self.pristine {
+        let lap = warm == ring.count;
+        if !self.open || !(lap || warm == 0) {
             return None;
         }
-        let mut levels = Vec::with_capacity(route.steps.len());
-        for step in route.steps.iter().flatten() {
-            let cache = &self.levels[step.level].caches[step.instance];
-            let exact_lru = cache.num_sets() == 1 && cache.policy() == ReplacementPolicy::Lru;
-            if !exact_lru || !ring.base.is_multiple_of(cache.line_size()) {
+        let steps: Vec<&Step> = route.steps.iter().flatten().collect();
+        let caches: Vec<&SectoredCache> = steps
+            .iter()
+            .map(|step| &self.levels[step.level].caches[step.instance])
+            .collect();
+        if caches
+            .iter()
+            .any(|cache| cache.num_sets() != 1 || !ring.base.is_multiple_of(cache.line_size()))
+        {
+            return None;
+        }
+        // Lines the batches of `batches` brought into `step`'s instance.
+        let brought = |batches: &[LoggedBatch], step: &Step| -> u64 {
+            batches.iter().map(|batch| batch.lines_in(step)).sum()
+        };
+        // Lines the batches logged after the ring brought into each step's
+        // instance: none for a new lap, which is the newest batch.
+        let mut later = [0u64; 3];
+        if lap {
+            if self.log.iter().any(|logged| logged.ring.base == ring.base) {
                 return None;
             }
-            levels.push((cache, step.latency));
+            if let (true, Some(spec)) = (route.translates, self.tlb_spec) {
+                let pages = |ring: Ring| {
+                    if ring.stride >= spec.page_bytes {
+                        ring.count
+                    } else {
+                        let last = ring.base + (ring.count - 1) * ring.stride;
+                        last / spec.page_bytes - ring.base / spec.page_bytes + 1
+                    }
+                };
+                // Rings may share a page, so the sum bounds the SM's pages.
+                let logged: u64 = self
+                    .log
+                    .iter()
+                    .filter(|logged| logged.sm == sm && logged.route.translates)
+                    .map(|logged| pages(logged.ring))
+                    .sum();
+                if !self.l1_tlb[sm].holds(logged + pages(ring)) {
+                    return None;
+                }
+            }
+        } else {
+            let at = self.log.iter().position(|logged| logged.ring == ring)?;
+            let logged = &self.log[at];
+            if timed > ring.count
+                || logged.warm == 0
+                || logged.timed != 0
+                || logged.route != *route
+                || logged.sm != sm
+            {
+                return None;
+            }
+            for (j, step) in steps.iter().enumerate() {
+                later[j] = brought(&self.log[at + 1..], step);
+            }
         }
-        if let (true, Some(spec)) = (route.translates, self.tlb_spec) {
-            let pages = if ring.stride >= spec.page_bytes {
-                ring.count
-            } else {
-                let last = ring.base + (ring.count - 1) * ring.stride;
-                last / spec.page_bytes - ring.base / spec.page_bytes + 1
-            };
-            if !self.l1_tlb[sm].holds(pages) {
+        let capacity = |cache: &SectoredCache| cache.capacity() / cache.line_size();
+        let scan = scan_lap(&caches, ring);
+        // A level that is not exact LRU must never fill: a new lap's lines
+        // join every line the log brought into it.
+        for (j, (step, cache)) in steps.iter().zip(&caches).enumerate() {
+            if lap
+                && cache.policy() != ReplacementPolicy::Lru
+                && brought(&self.log, step) + scan.lines[j] > capacity(cache)
+            {
                 return None;
             }
         }
 
-        let span = levels
-            .iter()
-            .fold(1, |span, (cache, _)| lcm(span, cache.line_size()));
-        let period = span / gcd(span, ring.stride);
-        let scanned = period.min(ring.count);
-        let rest = ring.count % period;
-        // Per level: the line of its last access and the sectors fetched
-        // in it, the lines it has seen, and those of the first `rest`
-        // elements.
-        let mut current = [(u64::MAX, 0u64); 3];
-        let mut lines = [0u64; 3];
-        let mut rest_lines = [0u64; 3];
-        let mut lap_level = Vec::with_capacity(scanned as usize);
-        for e in 0..scanned {
-            if e == rest {
-                rest_lines = lines;
-            }
-            let addr = ring.base + e * ring.stride;
-            let mut resolved = levels.len();
-            for (j, (cache, _)) in levels.iter().enumerate() {
-                let (line, sector) = cache.split_addr(addr);
-                let (current_line, fetched) = &mut current[j];
-                if *current_line != line {
-                    (*current_line, *fetched) = (line, sector);
-                    lines[j] += 1;
-                } else if *fetched & sector == 0 {
-                    *fetched |= sector;
-                } else {
-                    resolved = j;
-                    break;
-                }
-            }
-            lap_level.push(resolved);
-        }
-        if rest == scanned {
-            rest_lines = lines;
-        }
-        let holds: Vec<bool> = levels
+        let holds: Vec<bool> = caches
             .iter()
             .enumerate()
-            .map(|(j, (cache, _))| {
-                ring.count / period * lines[j] + rest_lines[j]
-                    <= cache.capacity() / cache.line_size()
-            })
+            .map(|(j, cache)| scan.lines[j] + later[j] <= capacity(cache))
             .collect();
-        let latency = |level: usize| levels.get(level).map_or(route.terminal.latency, |l| l.1);
+        let latency = |level: usize| {
+            steps
+                .get(level)
+                .map_or(route.terminal.latency, |s| s.latency)
+        };
         let closed = ClosedLap {
             count: ring.count,
-            period,
-            lap: lap_level.iter().map(|&level| latency(level)).collect(),
-            after: lap_level
+            period: scan.period,
+            lap: scan.lap_level.iter().map(|&level| latency(level)).collect(),
+            after: scan
+                .lap_level
                 .iter()
                 .map(|&level| latency((0..level).find(|&j| holds[j]).unwrap_or(level)))
                 .collect(),
         };
-        self.pristine = false;
-        self.deferred = Some(DeferredLap {
+        // An observation pass re-orders the recency of the ring it
+        // re-chases, which no later batch's classification accounts for.
+        self.open = lap;
+        self.log.push(LoggedBatch {
             route: *route,
             sm,
             ring,
+            warm,
             timed,
+            lines: scan.lines,
         });
         Some(closed)
     }
 
-    /// Walks a deferred lap, noise-free and uncharged, so that the
-    /// hierarchy holds exactly what walking its batch would have left.
+    /// Walks the lap log in order, noise-free and uncharged, so that the
+    /// hierarchy holds exactly what walking its batches would have left.
     #[cold]
-    fn replay(&mut self, lap: DeferredLap) {
-        let mut addr = lap.ring.base;
-        for _ in 0..lap.ring.count + lap.timed {
-            self.load_via(&lap.route, lap.sm, addr);
-            addr = lap.ring.next(addr);
+    fn replay(&mut self) {
+        for batch in std::mem::take(&mut self.log) {
+            let mut addr = batch.ring.base;
+            for _ in 0..batch.warm + batch.timed {
+                self.load_via(&batch.route, batch.sm, addr);
+                addr = batch.ring.next(addr);
+            }
         }
     }
 
-    /// The hierarchy's state as text, after walking any deferred lap:
-    /// every cache's contents, recency order and index layout, both TLB
-    /// levels and the translation memo. The per-cache hit/miss counters
-    /// are zeroed first, because a lap a flush drops unwalked never
-    /// reaches them.
+    /// The hierarchy's state as text, after walking the lap log: every
+    /// cache's contents, recency order and index layout, both TLB levels
+    /// and the translation memo. The per-cache hit/miss counters are
+    /// zeroed first, because a log a flush drops unwalked never reaches
+    /// them.
     #[cfg(test)]
     pub(crate) fn state(&mut self) -> String {
-        if let Some(lap) = self.deferred.take() {
-            self.replay(lap);
+        if !self.log.is_empty() {
+            self.replay();
         }
         for cache in self.levels.iter_mut().flat_map(|l| &mut l.caches) {
             cache.reset_stats();
@@ -580,6 +675,18 @@ impl MemorySubsystem {
             "{:?} {:?} {:?} {:?}",
             self.levels, self.l1_tlb, self.l2_tlb, self.tlb_memo
         )
+    }
+
+    /// The most lines one instance of the `kind` level holds.
+    #[cfg(test)]
+    pub(crate) fn resident_lines(&self, kind: CacheKind) -> u64 {
+        self.levels
+            .iter()
+            .filter(|level| level.kind == kind)
+            .flat_map(|level| &level.caches)
+            .map(SectoredCache::resident_lines)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Resolves the route of a load issued from (`sm`, `core`) through
@@ -705,6 +812,54 @@ impl MemorySubsystem {
                 ..l1
             })
         })
+    }
+}
+
+/// Scans one period of a lap over `ring` through `caches` (in route
+/// order), none of which holds any of its lines; `ring.base` must be a
+/// multiple of every line size, so each period starts a new line at every
+/// level.
+fn scan_lap(caches: &[&SectoredCache], ring: Ring) -> LapScan {
+    let span = caches
+        .iter()
+        .fold(1, |span, cache| lcm(span, cache.line_size()));
+    let period = span / gcd(span, ring.stride);
+    let scanned = period.min(ring.count);
+    let rest = ring.count % period;
+    // Per level: the line of its last access and the sectors fetched in
+    // it, the lines it has seen, and those of the first `rest` elements.
+    let mut current = [(u64::MAX, 0u64); 3];
+    let mut lines = [0u64; 3];
+    let mut rest_lines = [0u64; 3];
+    let mut lap_level = Vec::with_capacity(scanned as usize);
+    for e in 0..scanned {
+        if e == rest {
+            rest_lines = lines;
+        }
+        let addr = ring.base + e * ring.stride;
+        let mut resolved = caches.len();
+        for (j, cache) in caches.iter().enumerate() {
+            let (line, sector) = cache.split_addr(addr);
+            let (current_line, fetched) = &mut current[j];
+            if *current_line != line {
+                (*current_line, *fetched) = (line, sector);
+                lines[j] += 1;
+            } else if *fetched & sector == 0 {
+                *fetched |= sector;
+            } else {
+                resolved = j;
+                break;
+            }
+        }
+        lap_level.push(resolved);
+    }
+    if rest == scanned {
+        rest_lines = lines;
+    }
+    LapScan {
+        period,
+        lap_level,
+        lines: std::array::from_fn(|j| ring.count / period * lines[j] + rest_lines[j]),
     }
 }
 
