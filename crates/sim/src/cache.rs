@@ -44,21 +44,25 @@
 //!   64-line pages, with the keys inline; its second is a dense block of
 //!   slot ids per page, so a sequential chase streams through host memory
 //!   rather than hashing every line into a multi-MB table. Pages are
-//!   recycled when their last line leaves. The LRU engine (`FlatLru`)
-//!   threads the arena with an intrusive recency list — O(1) lookup, O(1)
-//!   true-LRU eviction; non-LRU policies use the same index + arena with
-//!   per-policy recency state (`FaPolicyStore`). Index and arena grow
-//!   lazily (nothing is allocated before the first access), so huge
-//!   caches (e.g. a 256 MiB L3) cost memory proportional to their
-//!   *resident* lines, and eviction recycles slots in place.
+//!   recycled when their last line leaves. One store (`FaPolicyStore`)
+//!   serves every policy: the index and arena, plus the policy's recency
+//!   state on the side — an intrusive recency list threaded through the
+//!   arena for exact LRU (O(1) lookup, O(1) eviction), two segment lists
+//!   for SLRU, tree bits for PLRU, nothing for random and bypass. Its one
+//!   MRU-line filter remembers the slot of the last access and skips only
+//!   the index lookup on a repeat; the policy's recency update still
+//!   runs. Index and arena grow lazily (nothing is allocated before the
+//!   first access), so huge caches (e.g. a 256 MiB L3) cost memory
+//!   proportional to their *resident* lines, and eviction recycles slots
+//!   in place.
 //! * **Set-associative** — no preset builds one, so it is the plain
 //!   per-set model [`reference::PolicyReferenceCache`], the same code the
-//!   fully-associative engines are tested against and the policy unit
+//!   fully-associative store is tested against and the policy unit
 //!   replays as its predictor.
 //!
 //! The retained [`mod@reference`] implementations plus the differential
-//! property tests in `crates/sim/tests/prop.rs` pin every engine to the
-//! naive per-policy oracle behaviour access-for-access.
+//! property tests in `crates/sim/tests/prop.rs` pin both organisations
+//! to the naive per-policy oracle behaviour access-for-access.
 
 pub mod policy;
 pub mod reference;
@@ -99,9 +103,9 @@ const EMPTY_TAG: u64 = u64::MAX;
 const NIL: u32 = u32::MAX;
 
 /// A fully-associative slot: the line address and its valid-sector
-/// bitmap plus intrusive list links (`prev` towards LRU, `next` towards
-/// MRU for the LRU engine; segment-list links for SLRU; unused by
-/// random/bypass).
+/// bitmap plus intrusive list links (`prev` towards the LRU end, `next`
+/// towards the MRU end of the exact-LRU recency list or of an SLRU
+/// segment; unused by tree-PLRU, random and bypass).
 #[derive(Debug, Clone, Copy)]
 struct FaSlot {
     tag: u64,
@@ -143,9 +147,9 @@ const EMPTY_ENTRY: PageEntry = PageEntry {
     live: 0,
 };
 
-/// Two-level line-address → arena-slot index shared by every
-/// fully-associative engine; the slot arena itself lives with the caller
-/// so the index stays policy agnostic.
+/// Two-level line-address → arena-slot index of the fully-associative
+/// store; the slot arena lives beside it in [`FaPolicyStore`], so the
+/// index stays policy agnostic.
 ///
 /// The first level is a small open-addressed directory keyed by an
 /// aligned page of [`PAGE_LINES`] lines (linear probing, deterministic
@@ -323,165 +327,6 @@ impl LineIndex {
     }
 }
 
-/// Fully-associative true-LRU engine: [`LineIndex`] + slot arena threaded
-/// with an intrusive doubly-linked recency list.
-#[derive(Debug)]
-struct FlatLru {
-    capacity_lines: u64,
-    index: LineIndex,
-    /// Slot arena; grows lazily to `capacity_lines`, then recycles.
-    slots: Vec<FaSlot>,
-    /// Least-recently-used slot (eviction victim), `NIL` when empty.
-    head: u32,
-    /// Most-recently-used slot, `NIL` when empty.
-    tail: u32,
-    /// MRU line filter: the line address and arena slot of the last
-    /// access. A repeat access to the MRU line is already at the recency
-    /// tail, so the index lookup and list surgery can be skipped entirely
-    /// — the common case for sector-sequential chase patterns, which
-    /// touch every line `sectors_per_line` times in a row. The slot's own
-    /// tag is re-verified, so a recycled slot falls through to the full
-    /// path. `EMPTY_TAG` = invalid.
-    mru_line: u64,
-    mru_slot: u32,
-}
-
-impl FlatLru {
-    fn new(capacity_lines: u64) -> Self {
-        FlatLru {
-            capacity_lines,
-            index: LineIndex::default(),
-            slots: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            mru_line: EMPTY_TAG,
-            mru_slot: 0,
-        }
-    }
-
-    /// One access: MRU-line fast path, then the full probe path.
-    ///
-    /// The fast path is a recency no-op by construction — `mru_line` is
-    /// only ever the line of the immediately preceding access, whose slot
-    /// `access_cold` left at the recency tail, and `touch` on the tail
-    /// slot changes nothing; only the sector bits are written.
-    #[inline]
-    fn access(&mut self, line_addr: u64, sector_bit: u64) -> Access {
-        if line_addr == self.mru_line {
-            if let Some(s) = self.slots.get_mut(self.mru_slot as usize) {
-                if s.tag == line_addr {
-                    let had = s.valid_sectors & sector_bit != 0;
-                    s.valid_sectors |= sector_bit;
-                    return if had { Access::Hit } else { Access::SectorMiss };
-                }
-            }
-        }
-        self.access_cold(line_addr, sector_bit)
-    }
-
-    /// The full path: index lookup, recency promotion, allocation.
-    fn access_cold(&mut self, line_addr: u64, sector_bit: u64) -> Access {
-        let result = if let Some(slot) = self.find(line_addr) {
-            self.touch(slot);
-            self.mru_slot = slot;
-            let s = &mut self.slots[slot as usize];
-            if s.valid_sectors & sector_bit != 0 {
-                Access::Hit
-            } else {
-                s.valid_sectors |= sector_bit;
-                Access::SectorMiss
-            }
-        } else {
-            self.mru_slot = self.allocate(line_addr, sector_bit);
-            Access::LineMiss
-        };
-        self.mru_line = line_addr;
-        result
-    }
-
-    #[inline]
-    fn find(&self, line_addr: u64) -> Option<u32> {
-        self.index.find(line_addr)
-    }
-
-    /// Unlinks `slot` from the recency list.
-    #[inline]
-    fn unlink(&mut self, slot: u32) {
-        let (prev, next) = {
-            let s = &self.slots[slot as usize];
-            (s.prev, s.next)
-        };
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.slots[prev as usize].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.slots[next as usize].prev = prev;
-        }
-    }
-
-    /// Appends `slot` at the MRU end of the recency list.
-    #[inline]
-    fn push_tail(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.prev = self.tail;
-        s.next = NIL;
-        if self.tail == NIL {
-            self.head = slot;
-        } else {
-            self.slots[self.tail as usize].next = slot;
-        }
-        self.tail = slot;
-    }
-
-    #[inline]
-    fn touch(&mut self, slot: u32) {
-        if self.tail != slot {
-            self.unlink(slot);
-            self.push_tail(slot);
-        }
-    }
-
-    /// Allocates a slot for a new line: recycles the LRU victim when full,
-    /// otherwise grows the arena. Returns the arena index.
-    fn allocate(&mut self, line_addr: u64, sector_bit: u64) -> u32 {
-        let slot = if (self.slots.len() as u64) < self.capacity_lines {
-            let idx = self.slots.len() as u32;
-            self.slots.push(FaSlot {
-                tag: line_addr,
-                valid_sectors: sector_bit,
-                prev: NIL,
-                next: NIL,
-            });
-            idx
-        } else {
-            let victim = self.head;
-            debug_assert_ne!(victim, NIL, "full cache implies an LRU victim");
-            let victim_tag = self.slots[victim as usize].tag;
-            self.index.remove(victim_tag);
-            self.unlink(victim);
-            let s = &mut self.slots[victim as usize];
-            s.tag = line_addr;
-            s.valid_sectors = sector_bit;
-            victim
-        };
-        self.index.insert(line_addr, slot);
-        self.push_tail(slot);
-        slot
-    }
-
-    fn flush(&mut self) {
-        self.index.clear();
-        self.slots.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.mru_line = EMPTY_TAG;
-    }
-}
-
 // --- the packed PLRU tree ---
 
 /// Points every ancestor of `way`'s leaf away from it (a PLRU touch).
@@ -532,7 +377,7 @@ fn plru_words(padded: u64) -> usize {
     ((padded - 1) as usize).div_ceil(64)
 }
 
-// --- fully-associative non-LRU engines ---
+// --- the fully-associative store ---
 
 /// Head/tail of an intrusive list threaded through the slot arena.
 #[derive(Debug, Clone, Copy)]
@@ -579,10 +424,11 @@ fn list_push_tail(slots: &mut [FaSlot], ends: &mut ListEnds, slot: u32) {
     ends.tail = slot;
 }
 
-/// Per-policy recency state of [`FaPolicyStore`] (exact LRU uses the
-/// dedicated [`FlatLru`] instead).
+/// Per-policy recency state of [`FaPolicyStore`].
 #[derive(Debug)]
 enum FaState {
+    /// Exact LRU: one intrusive recency list (head = LRU end, the victim).
+    Lru(ListEnds),
     /// Tree-PLRU over the whole arena (leaf = arena index).
     Plru { bits: Vec<u64>, padded: u64 },
     /// Segmented LRU: probation + protected intrusive lists (head = LRU
@@ -600,21 +446,24 @@ enum FaState {
     Bypass,
 }
 
-/// Fully-associative organisation for non-LRU policies: the same
-/// [`LineIndex`] + slot arena as [`FlatLru`] with policy recency state on
-/// the side. Eviction replaces the victim's arena slot in place, so arena
+/// The fully-associative organisation under every policy: a
+/// [`LineIndex`] + slot arena with the policy's recency state on the
+/// side. Eviction replaces the victim's arena slot in place, so arena
 /// indices are stable identities for the recency structures.
 #[derive(Debug)]
 struct FaPolicyStore {
     capacity_lines: u64,
     index: LineIndex,
+    /// Slot arena; grows lazily to `capacity_lines`, then recycles.
     slots: Vec<FaSlot>,
     state: FaState,
-    /// MRU line filter. Unlike [`FlatLru`]'s, this one only short-circuits
-    /// the index lookup — the policy `touch` still runs, because a repeat
-    /// touch is *not* a recency no-op for every policy (SLRU promotes a
-    /// probation line to protected on its second touch). The slot tag is
-    /// re-verified, so in-place eviction recycling falls through safely.
+    /// MRU line filter: the line address and arena slot of the last
+    /// access. It short-circuits only the index lookup — the policy
+    /// `touch` still runs, because a repeat touch is *not* a recency
+    /// no-op for every policy (SLRU promotes a probation line to
+    /// protected on its second touch). The slot tag is re-verified, so
+    /// in-place eviction recycling falls through safely. `EMPTY_TAG` =
+    /// invalid.
     mru_line: u64,
     mru_slot: u32,
 }
@@ -622,7 +471,7 @@ struct FaPolicyStore {
 impl FaPolicyStore {
     fn new(capacity_lines: u64, policy: ReplacementPolicy) -> Self {
         let state = match policy {
-            ReplacementPolicy::Lru => unreachable!("LRU uses FlatLru"),
+            ReplacementPolicy::Lru => FaState::Lru(EMPTY_LIST),
             ReplacementPolicy::TreePlru => {
                 let padded = capacity_lines.next_power_of_two();
                 FaState::Plru {
@@ -654,6 +503,12 @@ impl FaPolicyStore {
     #[inline]
     fn touch(&mut self, slot: u32) {
         match &mut self.state {
+            FaState::Lru(list) => {
+                if list.tail != slot {
+                    list_unlink(&mut self.slots, list, slot);
+                    list_push_tail(&mut self.slots, list, slot);
+                }
+            }
             FaState::Plru { bits, padded } => plru_touch(bits, *padded, slot as u64),
             FaState::Slru {
                 prob,
@@ -694,6 +549,7 @@ impl FaPolicyStore {
     #[inline]
     fn on_fill(&mut self, slot: u32) {
         match &mut self.state {
+            FaState::Lru(list) => list_push_tail(&mut self.slots, list, slot),
             FaState::Plru { bits, padded } => plru_touch(bits, *padded, slot as u64),
             FaState::Slru { prob, seg, .. } => {
                 // New lines enter probation at the MRU end.
@@ -750,6 +606,11 @@ impl FaPolicyStore {
         } else {
             let victim = match &mut self.state {
                 FaState::Bypass => return Access::LineMiss, // no allocation
+                FaState::Lru(list) => {
+                    let v = list.head;
+                    list_unlink(&mut self.slots, list, v);
+                    v
+                }
                 FaState::Plru { bits, padded } => {
                     plru_victim(bits, *padded, self.capacity_lines) as u32
                 }
@@ -803,6 +664,7 @@ impl FaPolicyStore {
         self.slots.clear();
         self.mru_line = EMPTY_TAG;
         match &mut self.state {
+            FaState::Lru(list) => *list = EMPTY_LIST,
             FaState::Plru { bits, .. } => bits.iter_mut().for_each(|b| *b = 0),
             FaState::Slru {
                 prob,
@@ -825,8 +687,7 @@ impl FaPolicyStore {
 #[derive(Debug)]
 enum Organization {
     SetAssociative(PolicyReferenceCache),
-    FullyAssociative(FlatLru),
-    FullyAssociativePolicy(FaPolicyStore),
+    FullyAssociative(FaPolicyStore),
 }
 
 /// A sectored cache with a pluggable replacement policy (see module docs
@@ -843,8 +704,6 @@ pub struct SectoredCache {
     split: Option<(u32, u64, u32)>,
     policy: ReplacementPolicy,
     org: Organization,
-    hits: u64,
-    misses: u64,
 }
 
 impl SectoredCache {
@@ -894,10 +753,7 @@ impl SectoredCache {
         );
         let total_lines = size / line_size;
         let org = if ways as u64 >= total_lines {
-            match policy {
-                ReplacementPolicy::Lru => Organization::FullyAssociative(FlatLru::new(total_lines)),
-                _ => Organization::FullyAssociativePolicy(FaPolicyStore::new(total_lines, policy)),
-            }
+            Organization::FullyAssociative(FaPolicyStore::new(total_lines, policy))
         } else {
             Organization::SetAssociative(PolicyReferenceCache::new(
                 size,
@@ -921,8 +777,6 @@ impl SectoredCache {
             split,
             policy,
             org,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -951,7 +805,6 @@ impl SectoredCache {
         match &self.org {
             Organization::SetAssociative(sa) => sa.num_sets() * sa.ways() as u64 * self.line_size,
             Organization::FullyAssociative(fa) => fa.capacity_lines * self.line_size,
-            Organization::FullyAssociativePolicy(fa) => fa.capacity_lines * self.line_size,
         }
     }
 
@@ -960,9 +813,6 @@ impl SectoredCache {
         match &self.org {
             Organization::SetAssociative(sa) => sa.ways(),
             Organization::FullyAssociative(fa) => fa.capacity_lines.min(u32::MAX as u64) as u32,
-            Organization::FullyAssociativePolicy(fa) => {
-                fa.capacity_lines.min(u32::MAX as u64) as u32
-            }
         }
     }
 
@@ -970,28 +820,16 @@ impl SectoredCache {
     pub fn num_sets(&self) -> u64 {
         match &self.org {
             Organization::SetAssociative(sa) => sa.num_sets(),
-            Organization::FullyAssociative(_) | Organization::FullyAssociativePolicy(_) => 1,
+            Organization::FullyAssociative(_) => 1,
         }
     }
 
-    /// (hits, misses) counters since construction or [`Self::reset_stats`].
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Clears the hit/miss counters.
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    /// Invalidates all contents (and keeps the counters). Policy recency
-    /// state resets with the contents; the random victim stream does not.
+    /// Invalidates all contents. Policy recency state resets with the
+    /// contents; the random victim stream does not.
     pub fn flush(&mut self) {
         match &mut self.org {
             Organization::SetAssociative(sa) => sa.flush(),
             Organization::FullyAssociative(fa) => fa.flush(),
-            Organization::FullyAssociativePolicy(fa) => fa.flush(),
         }
     }
 
@@ -1005,15 +843,10 @@ impl SectoredCache {
     #[inline]
     pub fn access(&mut self, addr: u64) -> Access {
         let (line_addr, sector_bit) = self.split_addr(addr);
-        let result = match &mut self.org {
+        match &mut self.org {
             Organization::SetAssociative(sa) => sa.access_line(line_addr, sector_bit),
             Organization::FullyAssociative(fa) => fa.access(line_addr, sector_bit),
-            Organization::FullyAssociativePolicy(fa) => fa.access(line_addr, sector_bit),
-        };
-        let hit = result.is_hit() as u64;
-        self.hits += hit;
-        self.misses += 1 - hit;
-        result
+        }
     }
 
     /// Peeks whether `addr`'s sector is resident without touching recency
@@ -1022,11 +855,7 @@ impl SectoredCache {
         let (line_addr, sector_bit) = self.split_addr(addr);
         match &self.org {
             Organization::SetAssociative(sa) => sa.probe_line(line_addr, sector_bit),
-            Organization::FullyAssociative(fa) => fa
-                .find(line_addr)
-                .map(|slot| fa.slots[slot as usize].valid_sectors & sector_bit != 0)
-                .unwrap_or(false),
-            Organization::FullyAssociativePolicy(fa) => fa.probe(line_addr, sector_bit),
+            Organization::FullyAssociative(fa) => fa.probe(line_addr, sector_bit),
         }
     }
 
@@ -1036,7 +865,6 @@ impl SectoredCache {
     pub(crate) fn resident_lines(&self) -> u64 {
         match &self.org {
             Organization::FullyAssociative(fa) => fa.slots.len() as u64,
-            Organization::FullyAssociativePolicy(fa) => fa.slots.len() as u64,
             Organization::SetAssociative(_) => unimplemented!("no preset builds one"),
         }
     }
@@ -1148,13 +976,9 @@ mod tests {
         for &a in &addrs {
             c.access(a); // warm-up
         }
-        c.reset_stats();
         for &a in &addrs {
             assert!(!c.access(a).is_hit(), "addr {a} unexpectedly hit");
         }
-        let (hits, misses) = c.stats();
-        assert_eq!(hits, 0);
-        assert_eq!(misses, n_sectors);
     }
 
     #[test]
@@ -1167,13 +991,9 @@ mod tests {
         for &a in &addrs {
             c.access(a);
         }
-        c.reset_stats();
-        for &a in &addrs {
-            c.access(a);
-        }
-        let (hits, misses) = c.stats();
+        let hits = addrs.iter().filter(|&&a| c.access(a).is_hit()).count();
         assert!(hits > 0, "non-overflowing sets should hit");
-        assert!(misses > 0, "the overflowing set should thrash");
+        assert!(hits < addrs.len(), "the overflowing set should thrash");
 
         // `fig1`'s exact per-index patterns: a 2-way, 8-line cache (4
         // sets) chased over 8, 9 and 10 lines after one warm-up lap.
@@ -1201,7 +1021,6 @@ mod tests {
         for &a in &addrs {
             c.access(a);
         }
-        c.reset_stats();
         for &a in &addrs {
             assert!(c.access(a).is_hit());
         }
@@ -1223,12 +1042,10 @@ mod tests {
         // The fetch-granularity benchmark's signal: on a cold cache, stride
         // below the sector size produces a mix of hits and misses; stride
         // at/above it produces only misses.
-        let run = |stride: u64| -> (u64, u64) {
+        let run = |stride: u64| -> (usize, usize) {
             let mut c = fa_cache();
-            for i in 0..16 {
-                c.access(i * stride);
-            }
-            c.stats()
+            let hits = (0..16).filter(|i| c.access(i * stride).is_hit()).count();
+            (hits, 16 - hits)
         };
         let (h4, m4) = run(4);
         assert!(h4 > 0 && m4 > 0, "stride 4 should mix hits and misses");
@@ -1253,7 +1070,6 @@ mod tests {
         for i in 0..sectors {
             c.access(b_base + i * 32);
         }
-        c.reset_stats();
         for i in 0..sectors {
             assert!(!c.access(a_base + i * 32).is_hit());
         }

@@ -31,7 +31,7 @@
 //!   lines bypass the cache entirely and resident lines are never
 //!   evicted until a flush.
 //!
-//! The fully-associative engines in [`super`] and the naive per-set model
+//! The fully-associative store in [`super`] and the naive per-set model
 //! in [`super::reference`] (which is also the set-associative
 //! organisation) implement the *same* spec; the per-policy differential
 //! proptests in `crates/sim/tests/prop.rs` prove them

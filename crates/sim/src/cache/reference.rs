@@ -4,14 +4,14 @@
 //! * [`ReferenceSectoredCache`] is the original `Vec<Vec<Line>>` /
 //!   `BTreeMap` true-LRU implementation, retained verbatim. The cache in
 //!   [`super`] must produce *bit-identical* behaviour — the same
-//!   [`Access`] sequence, hit/miss counters and residency for any access
-//!   stream — because every measured value of the simulator flows
+//!   [`Access`] sequence and residency for any access stream —
+//!   because every measured value of the simulator flows
 //!   through it. The property test `flat_store_matches_reference` in
 //!   `crates/sim/tests/prop.rs` drives both with random streams and
 //!   asserts equivalence; keep this one in sync with nothing: it is
 //!   frozen on purpose.
 //! * [`PolicyReferenceCache`] is the per-policy, per-set model: the
-//!   oracle the fully-associative policy engines are tested against, the
+//!   oracle the fully-associative store is tested against, the
 //!   predictor the policy-discovery unit replays, and the storage of
 //!   every set-associative [`super::SectoredCache`].
 
@@ -258,15 +258,15 @@ struct PolLine {
     valid_sectors: u64,
 }
 
-/// Naive per-policy sectored cache: the differential oracle for every
-/// fully-associative [`ReplacementPolicy`] engine in [`super`], and the
-/// set-associative organisation itself.
+/// Naive per-policy sectored cache: the differential oracle for the
+/// fully-associative store in [`super`] under every
+/// [`ReplacementPolicy`], and the set-associative organisation itself.
 ///
 /// One deliberately simple representation covers both organisations — a
 /// fully-associative cache is a single set whose way count equals the
 /// line capacity. Ways fill densely from index 0 and eviction replaces
 /// the victim's way *in place*, which makes way indices correspond 1:1 to
-/// the packed engine's lanes / arena slots — required for the random
+/// the fully-associative store's arena slots — required for the random
 /// policy (victim = same index from the same [`Xorshift64`] stream) and
 /// the PLRU tree (leaf = way index), and harmless for the stamp-ordered
 /// policies. Everything is an O(ways) scan; use small geometries.

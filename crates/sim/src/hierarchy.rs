@@ -54,9 +54,6 @@ pub struct LoadResolution {
     /// End-to-end load latency in cycles (without measurement noise or
     /// clock overhead — the executor adds those).
     pub latency: u32,
-    /// Whether the load hit in the *first* cache level of its path (used by
-    /// benchmarks that classify hit/miss).
-    pub first_level_hit: bool,
 }
 
 /// One cache level of the device: every physical instance of one kind.
@@ -80,7 +77,6 @@ struct Step {
     instance: usize,
     kind: CacheKind,
     latency: u32,
-    first_level_hit: bool,
 }
 
 /// A resolved load route: the cache instances to try, in order, then the
@@ -467,7 +463,6 @@ impl MemorySubsystem {
                 return LoadResolution {
                     level: step.kind,
                     latency: step.latency + tlb_penalty,
-                    first_level_hit: step.first_level_hit,
                 };
             }
         }
@@ -660,16 +655,11 @@ impl MemorySubsystem {
 
     /// The hierarchy's state as text, after walking the lap log: every
     /// cache's contents, recency order and index layout, both TLB levels
-    /// and the translation memo. The per-cache hit/miss counters are
-    /// zeroed first, because a log a flush drops unwalked never reaches
-    /// them.
+    /// and the translation memo.
     #[cfg(test)]
     pub(crate) fn state(&mut self) -> String {
         if !self.log.is_empty() {
             self.replay();
-        }
-        for cache in self.levels.iter_mut().flat_map(|l| &mut l.caches) {
-            cache.reset_stats();
         }
         format!(
             "{:?} {:?} {:?} {:?}",
@@ -721,16 +711,15 @@ impl MemorySubsystem {
                             CacheKind::Lds
                         },
                         latency: self.scratch_latency,
-                        first_level_hit: true,
                     },
                 }
             }
             _ if flags.bypass_all => {}
             MemorySpace::Constant => {
                 debug_assert_eq!(self.vendor, Vendor::Nvidia);
-                push(self.step(CacheKind::ConstL1, sm, true));
-                push(self.step(CacheKind::ConstL15, 0, false));
-                push(self.step(CacheKind::L2, l2, false));
+                push(self.step(CacheKind::ConstL1, sm));
+                push(self.step(CacheKind::ConstL15, 0));
+                push(self.step(CacheKind::L2, l2));
             }
             MemorySpace::Global | MemorySpace::Texture | MemorySpace::Readonly => {
                 debug_assert_eq!(self.vendor, Vendor::Nvidia);
@@ -739,20 +728,19 @@ impl MemorySubsystem {
                 if !flags.bypass_l1 {
                     push(self.l1_step(sm, core, space));
                 }
-                // With `.cg` the L2 is the first level of the path.
-                push(self.step(CacheKind::L2, l2, flags.bypass_l1));
+                push(self.step(CacheKind::L2, l2));
             }
             MemorySpace::Vector | MemorySpace::Scalar => {
                 debug_assert_eq!(self.vendor, Vendor::Amd);
                 if !flags.bypass_l1 {
                     push(if space == MemorySpace::Vector {
-                        self.step(CacheKind::VL1, sm, true)
+                        self.step(CacheKind::VL1, sm)
                     } else {
-                        self.step(CacheKind::SL1D, self.sl1d_group_of_cu[sm], true)
+                        self.step(CacheKind::SL1D, self.sl1d_group_of_cu[sm])
                     });
                 }
-                push(self.step(CacheKind::L2, l2, false));
-                push(self.step(CacheKind::L3, 0, false));
+                push(self.step(CacheKind::L2, l2));
+                push(self.step(CacheKind::L3, 0));
             }
         }
         Route {
@@ -761,7 +749,6 @@ impl MemorySubsystem {
             terminal: LoadResolution {
                 level: CacheKind::DeviceMemory,
                 latency: self.dram_latency,
-                first_level_hit: false,
             },
         }
     }
@@ -769,7 +756,7 @@ impl MemorySubsystem {
     /// The route step that tries instance `instance` of the `kind` level
     /// and reports a hit there as `kind` at the level's planted latency;
     /// `None` when the device has no such instance.
-    fn step(&self, kind: CacheKind, instance: usize, first_level_hit: bool) -> Option<Step> {
+    fn step(&self, kind: CacheKind, instance: usize) -> Option<Step> {
         let level = self
             .levels
             .iter()
@@ -779,7 +766,6 @@ impl MemorySubsystem {
             instance,
             kind,
             latency: self.levels[level].latency,
-            first_level_hit,
         })
     }
 
@@ -797,10 +783,10 @@ impl MemorySubsystem {
         };
         let dedicated = match kind {
             CacheKind::L1 => None,
-            _ => self.step(kind, sm, true),
+            _ => self.step(kind, sm),
         };
         dedicated.or_else(|| {
-            let l1 = self.step(CacheKind::L1, self.l1_instance(sm, core), true)?;
+            let l1 = self.step(CacheKind::L1, self.l1_instance(sm, core))?;
             let latency = self
                 .levels
                 .iter()
@@ -923,7 +909,6 @@ mod tests {
         mem.load(0, 0, MemorySpace::Global, LoadFlags::CACHE_ALL, 0);
         // Texture load of the same address hits — same physical cache.
         let r = mem.load(0, 0, MemorySpace::Texture, LoadFlags::CACHE_ALL, 0);
-        assert!(r.first_level_hit);
         assert_eq!(r.level, CacheKind::Texture);
     }
 
@@ -933,7 +918,11 @@ mod tests {
         let mut mem = MemorySubsystem::new(&cfg);
         mem.load(0, 0, MemorySpace::Global, LoadFlags::CACHE_ALL, 0);
         let r = mem.load(0, 0, MemorySpace::Constant, LoadFlags::CACHE_ALL, 0);
-        assert!(!r.first_level_hit, "constant L1 must be a distinct cache");
+        assert_ne!(
+            r.level,
+            CacheKind::ConstL1,
+            "constant L1 must be a distinct cache"
+        );
     }
 
     #[test]
@@ -1001,13 +990,13 @@ mod tests {
             64,
         );
         let r = mem.load(partner, 0, MemorySpace::Scalar, LoadFlags::CACHE_ALL, 64);
-        assert!(r.first_level_hit, "partner CU must share the sL1d");
+        assert_eq!(r.level, CacheKind::SL1D, "partner CU must share the sL1d");
         // A CU in a different group does not share.
         let stranger = (0..cfg.chip.num_sms as usize)
             .find(|&cu| layout.sl1d_group_of(cu) != layout.sl1d_group_of(with_partner))
             .unwrap();
         let r2 = mem.load(stranger, 0, MemorySpace::Scalar, LoadFlags::CACHE_ALL, 64);
-        assert!(!r2.first_level_hit);
+        assert_ne!(r2.level, CacheKind::SL1D);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! segment lists) fails with a readable "line X should have been
 //! evicted" diff instead of a downstream fingerprint flake.
 //!
-//! Every scenario runs twice: once against the fully-associative engine
-//! (4-line cache — `FlatLru` or `FaPolicyStore`) and once against the
+//! Every scenario runs twice: once against the fully-associative store
+//! (4-line cache, one store under every policy) and once against the
 //! set-associative per-set model (8 lines, 2 sets × 4 ways, driving only
 //! even line addresses so everything lands in set 0). Within a set the
 //! policies behave identically, so the golden orders are shared.
