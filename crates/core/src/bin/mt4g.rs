@@ -25,8 +25,9 @@
 //! * `--policy` — also classify the first-level data cache's replacement
 //!   policy via eviction-order probes (adds a `policy` report section)
 //! * `--debug` — trace boundary-confirmation walks to stderr
-//! * `--timings` — append per-unit host wall-clock lines to stderr; the
-//!   canonical report bytes are unaffected
+//! * `--timings` — append per-unit host wall-clock and work (kernels,
+//!   host-walked loads) lines to stderr; the canonical report bytes are
+//!   unaffected
 //! * `--scenario <S>` — deployment scenario: `bare-metal` (default),
 //!   `mig:<profile>` (run the suite *inside* a MIG instance, e.g.
 //!   `mig:2g.10gb`), or `hostile` (amplified noise, locked-down APIs)
@@ -217,7 +218,7 @@ fn print_help() {
          --contention also measure shared-L2 contention (same vs cross segment)\n\
          --policy     also classify the L1/vL1 replacement policy (eviction-order probes)\n\
          --debug      trace boundary-confirmation walks to stderr\n\
-         --timings    append per-unit wall-clock lines to stderr (never the report)\n\
+         --timings    append per-unit wall-clock and work lines to stderr (never the report)\n\
          --jobs N     run up to N discovery units in parallel (0 = all cores; default)\n\
          --shard i/n  run shard i of an n-way split, emit a mergeable partial report\n\
          merge        reassemble a complete set of partial reports into the full report\n\

@@ -424,12 +424,21 @@ impl Report {
 
     /// Mutable access to (or creation of) a memory element's row.
     pub fn element_mut(&mut self, kind: CacheKind) -> &mut MemoryElementReport {
-        if let Some(pos) = self.memory.iter().position(|m| m.kind == kind) {
-            &mut self.memory[pos]
-        } else {
-            self.memory.push(MemoryElementReport::empty(kind));
-            self.memory.last_mut().expect("just pushed")
-        }
+        element_mut(&mut self.memory, kind)
+    }
+}
+
+/// Mutable access to the row of `kind` in `rows`, appending an empty one
+/// if there is none yet.
+pub(crate) fn element_mut(
+    rows: &mut Vec<MemoryElementReport>,
+    kind: CacheKind,
+) -> &mut MemoryElementReport {
+    if let Some(pos) = rows.iter().position(|m| m.kind == kind) {
+        &mut rows[pos]
+    } else {
+        rows.push(MemoryElementReport::empty(kind));
+        rows.last_mut().expect("just pushed")
     }
 }
 

@@ -22,12 +22,12 @@ use crate::report::{
 };
 
 use super::plan::DiscoveryPlan;
-use super::units::{run_unit, MeasuredInputs, UnitOutput};
+use super::units::{run_unit, MeasuredInputs};
 use super::{Attribute, DiscoveryConfig};
 
 /// The serialisable outcome of one executed unit — the quantum a partial
 /// report is made of.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct UnitResult {
     /// The unit's id in its plan.
     pub unit: usize,
@@ -61,6 +61,12 @@ pub struct UnitResult {
     pub loads_executed: u64,
     /// Simulated GPU cycles the unit consumed.
     pub gpu_cycles: u64,
+    /// Loads the unit's forked GPU walked on the host
+    /// ([`Gpu::walked_loads`]). `#[serde(skip)]` like `wall_nanos`: it
+    /// counts host work, not device work, so it stays out of the partial
+    /// and report bytes.
+    #[serde(skip)]
+    pub walked_loads: u64,
 }
 
 /// Executes the selected units of `plan` (plus any dependencies not in the
@@ -100,75 +106,69 @@ pub fn execute_plan(
         .expect("mini-rayon pool construction is infallible");
 
     let mut inputs: MeasuredInputs = MeasuredInputs::new();
-    let mut done: BTreeSet<usize> = BTreeSet::new();
-    let mut outputs: BTreeMap<usize, (UnitOutput, u64)> = BTreeMap::new();
+    let mut results: BTreeMap<usize, UnitResult> = BTreeMap::new();
 
-    while done.len() < needed.len() {
+    while results.len() < needed.len() {
         let wave: Vec<usize> = needed
             .iter()
             .copied()
             .filter(|id| {
-                !done.contains(id) && plan.units()[*id].deps.iter().all(|d| done.contains(d))
+                !results.contains_key(id)
+                    && plan.units()[*id]
+                        .deps
+                        .iter()
+                        .all(|d| results.contains_key(d))
             })
             .collect();
         assert!(!wave.is_empty(), "discovery plan has a dependency cycle");
 
         let inputs_ref = &inputs;
-        let wave_outputs: Vec<(usize, UnitOutput, u64)> = pool.install(|| {
+        let wave_results: Vec<_> = pool.install(|| {
             wave.into_par_iter()
                 .map(|id| {
-                    let unit = &plan.units()[id];
                     #[expect(
                         clippy::disallowed_methods,
                         reason = "per-unit --timings stderr lines; host wall clock never enters the report"
                     )]
                     let t0 = std::time::Instant::now();
-                    let output = run_unit(gpu, cfg, unit.kind, unit.stream(), inputs_ref);
-                    (id, output, t0.elapsed().as_nanos() as u64)
+                    let (mut result, exported) = run_unit(gpu, cfg, &plan.units()[id], inputs_ref);
+                    result.wall_nanos = t0.elapsed().as_nanos() as u64;
+                    (result, exported)
                 })
                 .collect()
         });
 
-        for (id, output, nanos) in wave_outputs {
-            for &(kind, m) in &output.measured {
+        for (result, exported) in wave_results {
+            if let Some((kind, m)) = exported {
                 inputs.insert(kind, m);
             }
-            done.insert(id);
-            outputs.insert(id, (output, nanos));
+            results.insert(result.unit, result);
         }
     }
 
-    // Per-unit wall clock on stderr, in deterministic unit-id order (the
-    // values themselves are host-dependent; the report bytes never are).
+    // Per-unit wall clock and work on stderr, in deterministic unit-id
+    // order (the times are host-dependent; the report bytes never are).
     if cfg.timings {
-        let total: u64 = outputs.values().map(|(_, nanos)| nanos).sum();
-        for (id, (_, nanos)) in &outputs {
+        for r in results.values() {
             eprintln!(
-                "timing {label}: {ms:.3} ms",
-                label = plan.units()[*id].label,
-                ms = *nanos as f64 / 1e6,
+                "timing {label}: {ms:.3} ms, {kernels} kernels, {walked} walked loads",
+                label = r.label,
+                ms = r.wall_nanos as f64 / 1e6,
+                kernels = r.kernels_launched,
+                walked = r.walked_loads,
             );
         }
-        eprintln!("timing total: {ms:.3} ms", ms = total as f64 / 1e6);
+        eprintln!(
+            "timing total: {ms:.3} ms, {kernels} kernels, {walked} walked loads",
+            ms = results.values().map(|r| r.wall_nanos).sum::<u64>() as f64 / 1e6,
+            kernels = results.values().map(|r| r.kernels_launched).sum::<u64>(),
+            walked = results.values().map(|r| r.walked_loads).sum::<u64>(),
+        );
     }
 
-    outputs
-        .into_iter()
-        .filter(|(id, _)| emit.contains(id))
-        .map(|(id, (output, wall_nanos))| UnitResult {
-            unit: id,
-            label: plan.units()[id].label.clone(),
-            elements: output.elements,
-            flops: output.flops,
-            tlb: output.tlb,
-            contention: output.contention,
-            policy: output.policy,
-            wall_nanos,
-            benchmarks_run: output.benchmarks_run,
-            kernels_launched: output.stats.kernels_launched,
-            loads_executed: output.stats.loads_executed,
-            gpu_cycles: output.stats.total_cycles,
-        })
+    results
+        .into_values()
+        .filter(|r| emit.contains(&r.unit))
         .collect()
 }
 
@@ -318,5 +318,133 @@ mod tests {
             .find(|e| e.kind == mt4g_sim::device::CacheKind::L1)
             .expect("L1 sharing row");
         assert!(row.shared_with.is_available());
+    }
+
+    /// Per-cell work of every registry preset in fast mode, bare and
+    /// hostile, plain and with `--tlb --contention --policy`:
+    /// (preset, scenario, units, benchmark instances, kernels, ceiling on
+    /// host-walked loads).
+    const PINNED_WORK: &[(&str, &str, &str, u32, u64, u64)] = &[
+        ("P6000", "bare", "plain", 40, 868, 32768),
+        ("P6000", "bare", "ext", 43, 982, 59478),
+        ("P6000", "hostile", "plain", 40, 872, 32768),
+        ("P6000", "hostile", "ext", 43, 872, 32768),
+        ("V100", "bare", "plain", 40, 809, 45056),
+        ("V100", "bare", "ext", 43, 923, 79126),
+        ("V100", "hostile", "plain", 40, 809, 45056),
+        ("V100", "hostile", "ext", 43, 809, 45056),
+        ("T1000", "bare", "plain", 40, 1026, 32768),
+        ("T1000", "bare", "ext", 43, 1140, 60118),
+        ("T1000", "hostile", "plain", 40, 896, 33984),
+        ("T1000", "hostile", "ext", 43, 896, 33984),
+        ("RTX2080", "bare", "plain", 40, 1036, 32768),
+        ("RTX2080", "bare", "ext", 43, 1150, 62678),
+        ("RTX2080", "hostile", "plain", 40, 950, 43968),
+        ("RTX2080", "hostile", "ext", 43, 950, 43968),
+        ("A100", "bare", "plain", 40, 1088, 32768),
+        ("A100", "bare", "ext", 43, 1211, 92182),
+        ("A100", "hostile", "plain", 40, 1002, 50112),
+        ("A100", "hostile", "ext", 43, 1002, 50112),
+        ("H100-80", "bare", "plain", 40, 970, 32768),
+        ("H100-80", "bare", "ext", 43, 1093, 100982),
+        ("H100-80", "hostile", "plain", 40, 1014, 32768),
+        ("H100-80", "hostile", "ext", 43, 1014, 32768),
+        ("H100-96", "bare", "plain", 40, 970, 32768),
+        ("H100-96", "bare", "ext", 43, 1093, 100982),
+        ("H100-96", "hostile", "plain", 40, 1014, 32768),
+        ("H100-96", "hostile", "ext", 43, 1014, 32768),
+        ("MI100", "bare", "plain", 23, 1733, 24576),
+        ("MI100", "bare", "ext", 26, 1847, 51926),
+        ("MI100", "hostile", "plain", 23, 397, 24576),
+        ("MI100", "hostile", "ext", 26, 397, 24576),
+        ("MI210", "bare", "plain", 23, 1539, 24576),
+        ("MI210", "bare", "ext", 26, 1653, 51926),
+        ("MI210", "hostile", "plain", 23, 395, 24576),
+        ("MI210", "hostile", "ext", 26, 395, 24576),
+        ("MI300X", "bare", "plain", 25, 330, 24576),
+        ("MI300X", "bare", "ext", 28, 439, 62526),
+        ("MI300X", "hostile", "plain", 25, 405, 24576),
+        ("MI300X", "hostile", "ext", 28, 405, 24576),
+        ("B200", "bare", "plain", 40, 927, 3422570),
+        ("B200", "bare", "ext", 43, 1053, 3562518),
+        ("B200", "hostile", "plain", 40, 927, 3422570),
+        ("B200", "hostile", "ext", 43, 927, 3422570),
+        ("GB200", "bare", "plain", 40, 956, 2473362),
+        ("GB200", "bare", "ext", 43, 1082, 2575656),
+        ("GB200", "hostile", "plain", 40, 956, 2473362),
+        ("GB200", "hostile", "ext", 43, 956, 2473362),
+        ("RX7900XTX", "bare", "plain", 25, 1456, 90511),
+        ("RX7900XTX", "bare", "ext", 28, 1573, 130769),
+        ("RX7900XTX", "hostile", "plain", 25, 511, 190709),
+        ("RX7900XTX", "hostile", "ext", 28, 511, 190709),
+        ("RX9070XT", "bare", "plain", 25, 1310, 301080),
+        ("RX9070XT", "bare", "ext", 28, 1427, 340686),
+        ("RX9070XT", "hostile", "plain", 25, 955, 472061),
+        ("RX9070XT", "hostile", "ext", 28, 955, 472061),
+        ("H100-hostile", "bare", "plain", 40, 1014, 32768),
+        ("H100-hostile", "bare", "ext", 43, 1014, 32768),
+        ("MI210-hostile", "bare", "plain", 23, 395, 24576),
+        ("MI210-hostile", "bare", "ext", 26, 395, 24576),
+    ];
+
+    /// Pins each cell's work: benchmark instances and kernels exactly,
+    /// host-walked loads as a ceiling. Unlike a timing gate, a change that
+    /// adds probes or walks more laps fails here the same way on any host.
+    /// A change that lowers walked loads tightens the ceilings with it.
+    /// `units` selects the plain or the extended (`ext`) half of the table.
+    fn assert_pinned_work(units: &str) {
+        use mt4g_sim::presets::{Family, Registry};
+        use mt4g_sim::scenario::Scenario;
+
+        let ext = units == "ext";
+        let mut measured = Vec::new();
+        for entry in Registry::global().entries() {
+            let mut scenarios = vec![("bare", Scenario::BareMetal)];
+            if entry.family != Family::Hostile {
+                scenarios.push(("hostile", Scenario::Hostile(Default::default())));
+            }
+            for (scenario_label, scenario) in scenarios {
+                let gpu = scenario.realize(entry.gpu()).expect("scenario applies");
+                let cfg = DiscoveryConfig {
+                    measure_tlb: ext,
+                    measure_contention: ext,
+                    measure_policy: ext,
+                    jobs: 1,
+                    ..DiscoveryConfig::fast()
+                };
+                let plan = DiscoveryPlan::new(&gpu, &cfg);
+                let all: Vec<usize> = (0..plan.len()).collect();
+                let results = execute_plan(&gpu, &cfg, &plan, &all, 1);
+                measured.push((
+                    entry.name,
+                    scenario_label,
+                    units,
+                    results.iter().map(|r| r.benchmarks_run).sum::<u32>(),
+                    results.iter().map(|r| r.kernels_launched).sum::<u64>(),
+                    results.iter().map(|r| r.walked_loads).sum::<u64>(),
+                ));
+            }
+        }
+        let pinned: Vec<_> = PINNED_WORK.iter().filter(|p| p.2 == units).collect();
+        let holds = measured.len() == pinned.len()
+            && measured
+                .iter()
+                .zip(pinned)
+                .all(|(m, p)| (m.0, m.1, m.2, m.3, m.4) == (p.0, p.1, p.2, p.3, p.4) && m.5 <= p.5);
+        let table: String = measured
+            .iter()
+            .map(|m| format!("        {m:?},\n"))
+            .collect();
+        assert!(holds, "per-cell work moved; measured:\n{table}");
+    }
+
+    #[test]
+    fn plain_cells_do_their_pinned_work() {
+        assert_pinned_work("plain");
+    }
+
+    #[test]
+    fn extended_cells_do_their_pinned_work() {
+        assert_pinned_work("ext");
     }
 }

@@ -85,7 +85,8 @@ pub struct DiscoveryConfig {
     /// Purely diagnostic: it never changes a measurement, so it stays out
     /// of the plan fingerprint.
     pub debug: bool,
-    /// Append per-unit host wall-clock lines to stderr (CLI `--timings`).
+    /// Append per-unit host wall-clock and work (kernels, host-walked
+    /// loads) lines to stderr (CLI `--timings`).
     /// Like [`Self::debug`], purely diagnostic: host timing never enters
     /// the report bytes, so it stays out of the plan fingerprint too.
     pub timings: bool,
@@ -255,6 +256,39 @@ mod tests {
         assert!(report
             .element(CacheKind::L1)
             .is_none_or(|e| !e.size.is_available()));
+    }
+
+    /// An `--only` run reports nothing about the elements it excluded:
+    /// on every preset and for each of its elements, every other row is
+    /// all `NotApplicable`.
+    #[test]
+    fn only_runs_leave_every_other_row_empty() {
+        use crate::report::MemoryElementReport;
+        use mt4g_sim::presets::Registry;
+
+        let mut stray = Vec::new();
+        for entry in Registry::global().entries() {
+            let gpu = entry.gpu();
+            let has_l3 = gpu.config.cache(CacheKind::L3).is_some();
+            for kind in expected_elements(gpu.vendor(), has_l3) {
+                let cfg = DiscoveryConfig {
+                    only: Some(vec![kind]),
+                    jobs: 1,
+                    ..DiscoveryConfig::fast()
+                };
+                let report = run_discovery(&mut entry.gpu(), &cfg);
+                stray.extend(
+                    report
+                        .memory
+                        .iter()
+                        .filter(|row| {
+                            row.kind != kind && **row != MemoryElementReport::empty(row.kind)
+                        })
+                        .map(|row| format!("{} --only {kind:?}: {:?}", entry.name, row.kind)),
+                );
+            }
+        }
+        assert!(stray.is_empty(), "{} stray rows: {stray:#?}", stray.len());
     }
 
     #[test]

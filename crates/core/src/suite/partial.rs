@@ -62,11 +62,13 @@ pub fn run_shard(
     let plan = DiscoveryPlan::new(gpu, cfg);
     let selection = plan.shard(index, count);
     let mut results = execute_plan(gpu, cfg, &plan, &selection, cfg.jobs);
-    // Host wall-clock is `#[serde(skip)]` — it would vanish on the trip
-    // through the partial bytes anyway. Zero it here so a PartialReport
-    // equals its own parse (the round-trip invariant the merge tests pin).
+    // Host wall-clock and host-walked loads are `#[serde(skip)]` — they
+    // would vanish on the trip through the partial bytes anyway. Zero them
+    // here so a PartialReport equals its own parse (the round-trip
+    // invariant the merge tests pin).
     for r in &mut results {
         r.wall_nanos = 0;
+        r.walked_loads = 0;
     }
     let (device, compute) = report_header(gpu);
     PartialReport {

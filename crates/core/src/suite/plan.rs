@@ -4,9 +4,9 @@
 //! from the *how*: the same plan can be executed sequentially
 //! (`--jobs 1`), fanned out across threads, or sliced into shards executed
 //! by different CI jobs — the merged report is byte-identical in every
-//! case, because each unit runs on its own forked GPU whose RNG stream is
-//! derived from the unit's stable label (see
-//! [`run_unit`](super::units::run_unit)).
+//! case, because each unit runs on its own forked GPU (see
+//! [`run_unit`](super::units::run_unit)) whose RNG stream is derived from
+//! the unit's stable label ([`PlanUnit::stream`]).
 
 use mt4g_sim::compute::DType;
 use mt4g_sim::device::{CacheKind, Vendor};
@@ -110,26 +110,22 @@ impl DiscoveryPlan {
         // label-for-label identical to the historical vendor match, which
         // keeps their reports byte-identical.
         let has = |kind: CacheKind| gpu.config.cache(kind).is_some();
+        let device_memory = UnitKind::Flat(CacheKind::DeviceMemory);
         match gpu.vendor() {
             Vendor::Nvidia => {
                 let l1 = has(CacheKind::L1)
-                    .then(|| push("nv.l1", UnitKind::NvCache(CacheKind::L1), vec![]));
+                    .then(|| push("nv.l1", UnitKind::Cache(CacheKind::L1), vec![]));
                 let tex = has(CacheKind::Texture)
-                    .then(|| push("nv.texture", UnitKind::NvCache(CacheKind::Texture), vec![]));
-                let ro = has(CacheKind::Readonly).then(|| {
-                    push(
-                        "nv.readonly",
-                        UnitKind::NvCache(CacheKind::Readonly),
-                        vec![],
-                    )
-                });
+                    .then(|| push("nv.texture", UnitKind::Cache(CacheKind::Texture), vec![]));
+                let ro = has(CacheKind::Readonly)
+                    .then(|| push("nv.readonly", UnitKind::Cache(CacheKind::Readonly), vec![]));
                 let cst = has(CacheKind::ConstL1)
                     .then(|| push("nv.constant", UnitKind::NvConstPath, vec![]));
                 if has(CacheKind::L2) {
                     push("nv.l2", UnitKind::NvL2, vec![]);
                 }
-                push("nv.shared", UnitKind::NvShared, vec![]);
-                push("mem.device", UnitKind::DeviceMem, vec![]);
+                push("nv.shared", UnitKind::Flat(CacheKind::SharedMemory), vec![]);
+                push("mem.device", device_memory, vec![]);
                 // The sharing scan evicts one cache through another, so it
                 // needs the geometry of all four L1-level elements; it is
                 // planned only when all four exist.
@@ -141,7 +137,7 @@ impl DiscoveryPlan {
             }
             Vendor::Amd => {
                 if has(CacheKind::VL1) {
-                    push("amd.vl1", UnitKind::AmdVl1, vec![]);
+                    push("amd.vl1", UnitKind::Cache(CacheKind::VL1), vec![]);
                 }
                 if has(CacheKind::SL1D) {
                     push("amd.sl1d", UnitKind::AmdSl1d, vec![]);
@@ -152,8 +148,8 @@ impl DiscoveryPlan {
                 if has(CacheKind::L3) {
                     push("amd.l3", UnitKind::AmdL3, vec![]);
                 }
-                push("amd.lds", UnitKind::AmdLds, vec![]);
-                push("mem.device", UnitKind::DeviceMem, vec![]);
+                push("amd.lds", UnitKind::Flat(CacheKind::Lds), vec![]);
+                push("mem.device", device_memory, vec![]);
             }
         }
 

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use mt4g_sim::api;
 use mt4g_sim::compute::DType;
 use mt4g_sim::device::{CacheKind, LoadFlags, MemorySpace, Vendor, CONSTANT_ARRAY_LIMIT};
-use mt4g_sim::gpu::{Gpu, GpuStats};
+use mt4g_sim::gpu::Gpu;
 
 use crate::benchmarks::amount::{self, AmountConfig, AmountResult};
 use crate::benchmarks::bandwidth;
@@ -30,10 +30,12 @@ use crate::benchmarks::sharing_nv::{self, SpaceProbe};
 use crate::benchmarks::size::{self, SizeConfig, SizeResult};
 use crate::benchmarks::tlb::{self, TlbConfig, TlbLevelOutcome};
 use crate::report::{
-    AmountReport, AmountScope, Attribute, ContentionReport, FlopsEntry, MemoryElementReport,
-    PolicyReport, SharingReport, TlbLevel, TlbReport,
+    element_mut, AmountReport, AmountScope, Attribute, ContentionReport, FlopsEntry, LatencyReport,
+    MemoryElementReport, PolicyReport, SharingReport, TlbLevel, TlbReport,
 };
 
+use super::exec::UnitResult;
+use super::plan::PlanUnit;
 use super::DiscoveryConfig;
 
 /// Intermediate per-element measurement state the later stages feed on.
@@ -49,50 +51,37 @@ pub(crate) struct Measured {
 /// the element the dependency measured.
 pub(crate) type MeasuredInputs = BTreeMap<CacheKind, Measured>;
 
-/// Counts benchmark instances for the Sec. V-A accounting.
-struct Tally(u32);
+/// Confidence of a measured value whose benchmark computes no statistic of
+/// its own: bandwidths, FLOPS, contention latencies and segment estimate,
+/// TLB walk penalties. A nominal figure, not a calibrated probability.
+const NOMINAL_CONFIDENCE: f64 = 0.9;
 
-impl Tally {
-    fn bump(&mut self) -> &mut Self {
-        self.0 += 1;
-        self
-    }
-}
+/// Confidence of a measured value the suite takes as exact: a counted
+/// amount, a CU partner set, a contention peer, and the load latency of
+/// shared memory, LDS, device memory and the AMD L2.
+const FULL_CONFIDENCE: f64 = 1.0;
 
-/// The report rows one unit produces — a keyed slice of the final report's
-/// `memory` table.
-#[derive(Debug, Default)]
-struct ElementRows(Vec<MemoryElementReport>);
-
-impl ElementRows {
-    fn element_mut(&mut self, kind: CacheKind) -> &mut MemoryElementReport {
-        if let Some(pos) = self.0.iter().position(|m| m.kind == kind) {
-            &mut self.0[pos]
-        } else {
-            self.0.push(MemoryElementReport::empty(kind));
-            self.0.last_mut().expect("just pushed")
-        }
-    }
+/// Confidence of a latency from its spread, `1 − sd/mean` clamped to
+/// `[0, 1]`: the cache elements' and the NVIDIA L2's latency rows.
+fn spread_confidence(lr: &LatencyReport) -> f64 {
+    1.0 - (lr.stats.std_dev / lr.stats.mean.max(1.0)).min(1.0)
 }
 
 /// One kind of independent discovery work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum UnitKind {
-    /// NVIDIA L1 / Texture / Readonly: cache element + amount.
-    NvCache(CacheKind),
+    /// A first-level cache: its element chain plus amount (NVIDIA L1,
+    /// Texture and Readonly; AMD vL1).
+    Cache(CacheKind),
     /// NVIDIA constant path: CL1, then CL1.5 behind it (CL1.5's search
     /// window depends on the CL1 size, so they form one unit).
     NvConstPath,
     /// NVIDIA L2: API size, `.cg` latency, granularity, segments, line
     /// size, bandwidth.
     NvL2,
-    /// NVIDIA shared memory.
-    NvShared,
     /// NVIDIA physical-sharing groups over L1/Texture/Readonly/CL1
     /// (consumes those units' measurements).
     NvSharing,
-    /// AMD vector L1: element + amount.
-    AmdVl1,
     /// AMD scalar L1d: element + CU-sharing scan.
     AmdSl1d,
     /// AMD L2: API size/line/segments, GLC latency + granularity,
@@ -100,10 +89,10 @@ pub(crate) enum UnitKind {
     AmdL2,
     /// AMD CDNA3 L3: API attributes + bandwidth.
     AmdL3,
-    /// AMD LDS.
-    AmdLds,
-    /// Device memory (both vendors).
-    DeviceMem,
+    /// An element with no cache geometry to discover: an API size plus a
+    /// flat-latency chase, plus bandwidth for device memory (NVIDIA shared
+    /// memory, AMD LDS, device memory of both vendors).
+    Flat(CacheKind),
     /// TLB-reach discovery (both vendors; needs a declared translation
     /// hierarchy and the page-size API).
     TlbReach,
@@ -118,630 +107,345 @@ pub(crate) enum UnitKind {
     Flops(DType),
 }
 
-/// Everything one executed unit hands back to the executor.
-#[derive(Debug)]
-pub(crate) struct UnitOutput {
-    /// Report rows this unit filled in.
-    pub(crate) elements: Vec<MemoryElementReport>,
-    /// FLOPS entries (only `UnitKind::Flops` units produce these).
-    pub(crate) flops: Vec<FlopsEntry>,
-    /// TLB rows (only `UnitKind::TlbReach` units produce these).
-    pub(crate) tlb: Vec<TlbReport>,
-    /// Contention rows (only `UnitKind::L2Contention` units).
-    pub(crate) contention: Vec<ContentionReport>,
-    /// Replacement-policy rows (only `UnitKind::Policy` units).
-    pub(crate) policy: Vec<PolicyReport>,
-    /// Measurements exported to dependent units.
-    pub(crate) measured: Vec<(CacheKind, Measured)>,
-    /// Benchmark instances executed (Sec. V-A accounting).
-    pub(crate) benchmarks_run: u32,
-    /// Kernel / load / cycle counters of the forked GPU.
-    pub(crate) stats: GpuStats,
-}
-
-/// Executes one unit on a fork of `proto` seeded with `stream`.
+/// Executes `unit` on a fork of `proto` seeded with the unit's stream.
+/// Returns the unit's result and the measurement it exports to dependent
+/// units, if any.
 pub(crate) fn run_unit(
     proto: &Gpu,
     cfg: &DiscoveryConfig,
-    kind: UnitKind,
-    stream: u64,
+    unit: &PlanUnit,
     inputs: &MeasuredInputs,
-) -> UnitOutput {
-    let mut gpu = proto.fork(stream);
-    let mut rows = ElementRows::default();
-    let mut tally = Tally(0);
-    let mut flops_entries = Vec::new();
-    let mut tlb_rows = Vec::new();
-    let mut contention_rows = Vec::new();
-    let mut policy_rows = Vec::new();
-    let mut measured = Vec::new();
+) -> (UnitResult, Option<(CacheKind, Measured)>) {
+    let mut run = UnitRun {
+        gpu: proto.fork(unit.stream()),
+        cfg,
+        result: UnitResult {
+            unit: unit.id,
+            label: unit.label.clone(),
+            ..UnitResult::default()
+        },
+    };
 
-    match kind {
-        UnitKind::NvCache(cache) => {
-            let (space, schedulable) = match cache {
+    let exported = match unit.kind {
+        UnitKind::Cache(kind) => {
+            let (space, schedulable) = match kind {
                 CacheKind::L1 => (
                     MemorySpace::Global,
-                    !gpu.config.quirks.l1_amount_unschedulable,
+                    !run.gpu.config.quirks.l1_amount_unschedulable,
                 ),
                 CacheKind::Texture => (MemorySpace::Texture, true),
                 CacheKind::Readonly => (MemorySpace::Readonly, true),
-                other => unreachable!("NvCache unit for {other:?}"),
+                CacheKind::VL1 => (MemorySpace::Vector, true),
+                other => unreachable!("Cache unit for {other:?}"),
             };
-            let m = discover_cache_element(
-                &mut gpu,
-                cfg,
-                &mut rows,
-                &mut tally,
-                cache,
-                space,
-                LoadFlags::CACHE_ALL,
-                None,
-                None,
-                None,
-            );
-            if cfg.wants(cache) {
-                discover_amount(
-                    &mut gpu,
-                    &mut rows,
-                    &mut tally,
-                    cache,
-                    space,
-                    m,
-                    schedulable,
-                );
-            }
-            measured.push((cache, m));
+            let m = run.cache_element(kind, space, None, None);
+            run.amount(kind, space, m, schedulable);
+            Some((kind, m))
         }
 
         UnitKind::NvConstPath => {
             // Constant L1: its latency array must stay below the (unknown)
             // CL1 size; 1 KiB is the search floor anyway.
-            let m_cl1 = discover_cache_element(
-                &mut gpu,
-                cfg,
-                &mut rows,
-                &mut tally,
-                CacheKind::ConstL1,
-                MemorySpace::Constant,
-                LoadFlags::CACHE_ALL,
-                Some(1024),
-                None,
-                Some(CONSTANT_ARRAY_LIMIT),
-            );
+            let cl1 =
+                run.cache_element(CacheKind::ConstL1, MemorySpace::Constant, Some(1024), None);
             // Constant L1.5: measured *behind* CL1 — arrays larger than
             // CL1, which the warm-up evicts from CL1 (Sec. IV-B2).
-            let cl1_size = m_cl1.size.unwrap_or(2048);
-            let _m_cl15 = discover_cache_element(
-                &mut gpu,
-                cfg,
-                &mut rows,
-                &mut tally,
+            let cl1_size = cl1.size.unwrap_or(2048);
+            run.cache_element(
                 CacheKind::ConstL15,
                 MemorySpace::Constant,
-                LoadFlags::CACHE_ALL,
                 Some(4 * cl1_size),
                 Some(2 * cl1_size),
-                Some(CONSTANT_ARRAY_LIMIT),
             );
             // The 64 KiB constant limit also blocks the CL1.5 amount
             // benchmark (paper Sec. III-C).
-            rows.element_mut(CacheKind::ConstL15).amount = Attribute::Unavailable {
-                reason: "64 KiB constant array limitation".into(),
-            };
-            if cfg.wants(CacheKind::ConstL1) {
-                discover_amount(
-                    &mut gpu,
-                    &mut rows,
-                    &mut tally,
-                    CacheKind::ConstL1,
-                    MemorySpace::Constant,
-                    m_cl1,
-                    true,
-                );
+            if cfg.wants(CacheKind::ConstL15) {
+                run.row(CacheKind::ConstL15).amount = Attribute::Unavailable {
+                    reason: "64 KiB constant array limitation".into(),
+                };
             }
-            measured.push((CacheKind::ConstL1, m_cl1));
+            run.amount(CacheKind::ConstL1, MemorySpace::Constant, cl1, true);
+            Some((CacheKind::ConstL1, cl1))
         }
 
         UnitKind::NvL2 => {
             if cfg.wants(CacheKind::L2) {
-                let props = api::device_props(&gpu);
-                let l2_total = props.l2_size_bytes;
-                rows.element_mut(CacheKind::L2).size = Attribute::FromApi { value: l2_total };
-                tally.bump();
-                let l2_lat = latency::run(
-                    &mut gpu,
-                    &LatencyConfig::standard(MemorySpace::Global, LoadFlags::CACHE_GLOBAL, 64),
-                );
-                let mut l2_fg = 32u64;
-                if let Some(lr) = l2_lat {
-                    rows.element_mut(CacheKind::L2).load_latency = Attribute::Measured {
-                        value: lr,
-                        confidence: 1.0 - (lr.stats.std_dev / lr.stats.mean.max(1.0)).min(1.0),
-                    };
-                    tally.bump();
-                    let fg_cfg = FetchGranularityConfig::new(
-                        MemorySpace::Global,
-                        LoadFlags::CACHE_GLOBAL,
-                        lr.mean,
-                    );
-                    if let Some((fg, conf)) = fetch_granularity::run(&mut gpu, &fg_cfg) {
-                        l2_fg = fg as u64;
-                        rows.element_mut(CacheKind::L2).fetch_granularity_bytes =
-                            Attribute::Measured {
-                                value: fg,
-                                confidence: conf,
-                            };
-                    }
-                    tally.bump();
-                    if let Some(segs) = l2_segments::run(&mut gpu, l2_fg, cfg.scan_points) {
-                        rows.element_mut(CacheKind::L2).amount = Attribute::Measured {
+                let (space, flags) = (MemorySpace::Global, LoadFlags::CACHE_GLOBAL);
+                run.row(CacheKind::L2).size = Attribute::FromApi {
+                    value: api::device_props(&run.gpu).l2_size_bytes,
+                };
+                let lat_cfg = LatencyConfig::standard(space, flags, 64);
+                if let Some(hit) = run.latency(CacheKind::L2, &lat_cfg, spread_confidence) {
+                    let fg = run
+                        .fetch_granularity(CacheKind::L2, space, flags, hit)
+                        .unwrap_or(32);
+                    run.count(1);
+                    if let Some(segs) = l2_segments::run(&mut run.gpu, fg, cfg.scan_points) {
+                        run.row(CacheKind::L2).amount = Attribute::Measured {
                             value: AmountReport {
                                 count: segs.count,
                                 scope: AmountScope::PerGpu,
                             },
                             confidence: segs.confidence,
                         };
-                        tally.bump();
-                        let ls_cfg = LineSizeConfig::new(
-                            MemorySpace::Global,
-                            LoadFlags::CACHE_GLOBAL,
-                            segs.segment_bytes,
-                            l2_fg,
-                            lr.mean,
-                        );
-                        if let Some((line, conf)) = line_size::run(&mut gpu, &ls_cfg) {
-                            rows.element_mut(CacheKind::L2).cache_line_bytes =
-                                Attribute::Measured {
-                                    value: line,
-                                    confidence: conf,
-                                };
+                        run.count(1);
+                        let ls_cfg = LineSizeConfig::new(space, flags, segs.segment_bytes, fg, hit);
+                        if let Some((value, confidence)) = line_size::run(&mut run.gpu, &ls_cfg) {
+                            run.row(CacheKind::L2).cache_line_bytes =
+                                Attribute::Measured { value, confidence };
                         }
                     }
                 }
-                if cfg.measure_bandwidth {
-                    tally.bump().bump();
-                    if let Some(bw) = bandwidth::run(&mut gpu, CacheKind::L2) {
-                        let e = rows.element_mut(CacheKind::L2);
-                        e.read_bandwidth_gibs = Attribute::Measured {
-                            value: bw.read_gibs,
-                            confidence: 0.9,
-                        };
-                        e.write_bandwidth_gibs = Attribute::Measured {
-                            value: bw.write_gibs,
-                            confidence: 0.9,
-                        };
-                    }
-                }
+                run.bandwidth(CacheKind::L2);
             }
-        }
-
-        UnitKind::NvShared => {
-            if cfg.wants(CacheKind::SharedMemory) {
-                let props = api::device_props(&gpu);
-                rows.element_mut(CacheKind::SharedMemory).size = Attribute::FromApi {
-                    value: props.shared_mem_per_sm_bytes,
-                };
-                tally.bump();
-                if let Some(lr) = latency::run(
-                    &mut gpu,
-                    &LatencyConfig::standard(MemorySpace::Shared, LoadFlags::CACHE_ALL, 64),
-                ) {
-                    rows.element_mut(CacheKind::SharedMemory).load_latency = Attribute::Measured {
-                        value: lr,
-                        confidence: 1.0,
-                    };
-                }
-            }
+            None
         }
 
         UnitKind::NvSharing => {
             // Physical sharing (Sec. IV-G), over the element units'
             // measurements.
-            if cfg.only.is_none() {
-                tally.bump();
-                let quirks = gpu.config.quirks;
-                let of = |kind: CacheKind| inputs.get(&kind).copied().unwrap_or_default();
-                let probe = |m: Measured, deflt: f64| {
-                    (
-                        m.size.unwrap_or(2048),
-                        m.fetch_granularity.unwrap_or(32),
-                        m.hit_latency.unwrap_or(deflt),
-                    )
-                };
-                let probes: Vec<SpaceProbe> = sharing_nv::nvidia_probes(
-                    probe(of(CacheKind::L1), 38.0),
-                    probe(of(CacheKind::Texture), 39.0),
-                    probe(of(CacheKind::Readonly), 35.0),
-                    probe(of(CacheKind::ConstL1), 21.0),
-                );
-                let groups =
-                    sharing_nv::sharing_groups(&mut gpu, &probes, quirks.flaky_l1_const_sharing);
-                for (kind, partners, confidence) in groups {
-                    rows.element_mut(kind).shared_with = if confidence == 0.0 {
-                        Attribute::Unavailable {
-                            reason: "sharing measurement unreliable on this microarchitecture"
-                                .into(),
-                        }
-                    } else {
-                        Attribute::Measured {
-                            value: SharingReport::Spaces(partners),
-                            confidence,
-                        }
-                    };
-                }
-            }
-        }
-
-        UnitKind::AmdVl1 => {
-            let m_vl1 = discover_cache_element(
-                &mut gpu,
-                cfg,
-                &mut rows,
-                &mut tally,
-                CacheKind::VL1,
-                MemorySpace::Vector,
-                LoadFlags::CACHE_ALL,
-                None,
-                None,
-                None,
+            run.count(1);
+            let quirks = run.gpu.config.quirks;
+            let probe = |kind: CacheKind, default_latency: f64| {
+                let m = inputs.get(&kind).copied().unwrap_or_default();
+                (
+                    m.size.unwrap_or(2048),
+                    m.fetch_granularity.unwrap_or(32),
+                    m.hit_latency.unwrap_or(default_latency),
+                )
+            };
+            let probes: Vec<SpaceProbe> = sharing_nv::nvidia_probes(
+                probe(CacheKind::L1, 38.0),
+                probe(CacheKind::Texture, 39.0),
+                probe(CacheKind::Readonly, 35.0),
+                probe(CacheKind::ConstL1, 21.0),
             );
-            if cfg.wants(CacheKind::VL1) {
-                discover_amount(
-                    &mut gpu,
-                    &mut rows,
-                    &mut tally,
-                    CacheKind::VL1,
-                    MemorySpace::Vector,
-                    m_vl1,
-                    true,
-                );
+            let groups =
+                sharing_nv::sharing_groups(&mut run.gpu, &probes, quirks.flaky_l1_const_sharing);
+            for (kind, partners, confidence) in groups {
+                run.row(kind).shared_with = if confidence == 0.0 {
+                    Attribute::Unavailable {
+                        reason: "sharing measurement unreliable on this microarchitecture".into(),
+                    }
+                } else {
+                    Attribute::Measured {
+                        value: SharingReport::Spaces(partners),
+                        confidence,
+                    }
+                };
             }
-            measured.push((CacheKind::VL1, m_vl1));
+            None
         }
 
         UnitKind::AmdSl1d => {
-            let m_sl1d = discover_cache_element(
-                &mut gpu,
-                cfg,
-                &mut rows,
-                &mut tally,
-                CacheKind::SL1D,
-                MemorySpace::Scalar,
-                LoadFlags::CACHE_ALL,
-                None,
-                None,
-                None,
-            );
+            let m = run.cache_element(CacheKind::SL1D, MemorySpace::Scalar, None, None);
             // sL1d CU sharing (Sec. IV-H) rides in the same unit: it needs
             // the sL1d geometry just measured.
             if cfg.wants(CacheKind::SL1D) {
-                tally.bump();
-                let quirks = gpu.config.quirks;
+                run.count(1);
                 let sh_cfg = CuSharingConfig {
-                    sl1d_size: m_sl1d.size.unwrap_or(16 * 1024),
-                    fetch_granularity: m_sl1d.fetch_granularity.unwrap_or(64),
-                    hit_latency: m_sl1d.hit_latency.unwrap_or(50.0),
-                    can_pin_cus: !quirks.no_cu_pinning,
+                    sl1d_size: m.size.unwrap_or(16 * 1024),
+                    fetch_granularity: m.fetch_granularity.unwrap_or(64),
+                    hit_latency: m.hit_latency.unwrap_or(50.0),
+                    can_pin_cus: !run.gpu.config.quirks.no_cu_pinning,
                 };
                 let result = if cfg.cu_window > 0 {
-                    sharing_amd::run_windowed(&mut gpu, &sh_cfg, cfg.cu_window)
+                    sharing_amd::run_windowed(&mut run.gpu, &sh_cfg, cfg.cu_window)
                 } else {
-                    sharing_amd::run(&mut gpu, &sh_cfg)
+                    sharing_amd::run(&mut run.gpu, &sh_cfg)
                 };
-                rows.element_mut(CacheKind::SL1D).shared_with = match result {
+                run.row(CacheKind::SL1D).shared_with = match result {
                     CuSharingResult::Found { partners } => Attribute::Measured {
                         value: SharingReport::CuPartners(partners),
-                        confidence: 1.0,
+                        confidence: FULL_CONFIDENCE,
                     },
                     CuSharingResult::NoResult { reason } => Attribute::Unavailable { reason },
                 };
             }
-            measured.push((CacheKind::SL1D, m_sl1d));
+            Some((CacheKind::SL1D, m))
         }
 
         UnitKind::AmdL2 => {
             // L2: sizes, line size and amount from APIs (HSA/KFD/XCD
             // count); latency and fetch granularity benchmarked with GLC=1.
-            // When a hostile environment locks those tables down, the
-            // API-only attributes degrade to honest no-results (paper
-            // Sec. V: "no result, not a wrong result").
             if cfg.wants(CacheKind::L2) {
-                let apis_locked = gpu.config.quirks.cache_info_apis_unavailable;
-                if let Some(sizes) = api::hsa_cache_sizes(&gpu) {
-                    if let Some(&(_, l2)) = sizes.iter().find(|(k, _)| *k == CacheKind::L2) {
-                        rows.element_mut(CacheKind::L2).size = Attribute::FromApi { value: l2 };
-                    }
-                } else if apis_locked {
-                    rows.element_mut(CacheKind::L2).size = api_locked();
+                let (space, flags) = (MemorySpace::Vector, LoadFlags::CACHE_GLOBAL);
+                let segments = l2_segments::run(&mut run.gpu, 64, cfg.scan_points);
+                run.amd_tables(CacheKind::L2, segments.map(|s| s.count));
+                let lat_cfg = LatencyConfig::standard(space, flags, 64);
+                if let Some(hit) = run.latency(CacheKind::L2, &lat_cfg, |_| FULL_CONFIDENCE) {
+                    run.fetch_granularity(CacheKind::L2, space, flags, hit);
                 }
-                if let Some(lines) = api::kfd_cache_line_sizes(&gpu) {
-                    if let Some(&(_, line)) = lines.iter().find(|(k, _)| *k == CacheKind::L2) {
-                        rows.element_mut(CacheKind::L2).cache_line_bytes =
-                            Attribute::FromApi { value: line };
-                    }
-                } else if apis_locked {
-                    rows.element_mut(CacheKind::L2).cache_line_bytes = api_locked();
-                }
-                if let Some(segs) = l2_segments::run(&mut gpu, 64, cfg.scan_points) {
-                    rows.element_mut(CacheKind::L2).amount = Attribute::FromApi {
-                        value: AmountReport {
-                            count: segs.count,
-                            scope: AmountScope::PerGpu,
-                        },
-                    };
-                } else if apis_locked {
-                    rows.element_mut(CacheKind::L2).amount = api_locked();
-                }
-                tally.bump();
-                if let Some(lr) = latency::run(
-                    &mut gpu,
-                    &LatencyConfig::standard(MemorySpace::Vector, LoadFlags::CACHE_GLOBAL, 64),
-                ) {
-                    let mean = lr.mean;
-                    rows.element_mut(CacheKind::L2).load_latency = Attribute::Measured {
-                        value: lr,
-                        confidence: 1.0,
-                    };
-                    tally.bump();
-                    let fg_cfg = FetchGranularityConfig::new(
-                        MemorySpace::Vector,
-                        LoadFlags::CACHE_GLOBAL,
-                        mean,
-                    );
-                    if let Some((fg, conf)) = fetch_granularity::run(&mut gpu, &fg_cfg) {
-                        rows.element_mut(CacheKind::L2).fetch_granularity_bytes =
-                            Attribute::Measured {
-                                value: fg,
-                                confidence: conf,
-                            };
-                    }
-                }
-                if cfg.measure_bandwidth {
-                    tally.bump().bump();
-                    if let Some(bw) = bandwidth::run(&mut gpu, CacheKind::L2) {
-                        let e = rows.element_mut(CacheKind::L2);
-                        e.read_bandwidth_gibs = Attribute::Measured {
-                            value: bw.read_gibs,
-                            confidence: 0.9,
-                        };
-                        e.write_bandwidth_gibs = Attribute::Measured {
-                            value: bw.write_gibs,
-                            confidence: 0.9,
-                        };
-                    }
-                }
+                run.bandwidth(CacheKind::L2);
             }
+            None
         }
 
         UnitKind::AmdL3 => {
             // L3 (CDNA3): size/line/amount from APIs; load latency and
             // fetch granularity are the paper's declared gaps; bandwidth
             // measured.
-            if gpu.config.cache(CacheKind::L3).is_some() && cfg.wants(CacheKind::L3) {
-                let apis_locked = gpu.config.quirks.cache_info_apis_unavailable;
-                if let Some(sizes) = api::hsa_cache_sizes(&gpu) {
-                    if let Some(&(_, l3)) = sizes.iter().find(|(k, _)| *k == CacheKind::L3) {
-                        rows.element_mut(CacheKind::L3).size = Attribute::FromApi { value: l3 };
-                    }
-                } else if apis_locked {
-                    rows.element_mut(CacheKind::L3).size = api_locked();
-                }
-                if let Some(lines) = api::kfd_cache_line_sizes(&gpu) {
-                    if let Some(&(_, line)) = lines.iter().find(|(k, _)| *k == CacheKind::L3) {
-                        rows.element_mut(CacheKind::L3).cache_line_bytes =
-                            Attribute::FromApi { value: line };
-                    }
-                } else if apis_locked {
-                    rows.element_mut(CacheKind::L3).cache_line_bytes = api_locked();
-                }
-                if let Some(n) = api::l3_amount(&gpu) {
-                    rows.element_mut(CacheKind::L3).amount = Attribute::FromApi {
-                        value: AmountReport {
-                            count: n,
-                            scope: AmountScope::PerGpu,
-                        },
-                    };
-                } else if apis_locked {
-                    rows.element_mut(CacheKind::L3).amount = api_locked();
-                }
-                let e = rows.element_mut(CacheKind::L3);
-                e.load_latency = Attribute::Unavailable {
+            if cfg.wants(CacheKind::L3) {
+                let amount = api::l3_amount(&run.gpu);
+                run.amd_tables(CacheKind::L3, amount);
+                let row = run.row(CacheKind::L3);
+                row.load_latency = Attribute::Unavailable {
                     reason: "CDNA3 L3 latency benchmarking pending (paper future work)".into(),
                 };
-                e.fetch_granularity_bytes = Attribute::Unavailable {
+                row.fetch_granularity_bytes = Attribute::Unavailable {
                     reason: "CDNA3 L3 fetch granularity benchmarking pending (paper future work)"
                         .into(),
                 };
-                if cfg.measure_bandwidth {
-                    tally.bump().bump();
-                    if let Some(bw) = bandwidth::run(&mut gpu, CacheKind::L3) {
-                        let e = rows.element_mut(CacheKind::L3);
-                        e.read_bandwidth_gibs = Attribute::Measured {
-                            value: bw.read_gibs,
-                            confidence: 0.9,
-                        };
-                        e.write_bandwidth_gibs = Attribute::Measured {
-                            value: bw.write_gibs,
-                            confidence: 0.9,
-                        };
-                    }
-                }
+                run.bandwidth(CacheKind::L3);
             }
+            None
         }
 
-        UnitKind::AmdLds => {
-            if cfg.wants(CacheKind::Lds) {
-                let props = api::device_props(&gpu);
-                rows.element_mut(CacheKind::Lds).size = Attribute::FromApi {
-                    value: props.shared_mem_per_sm_bytes,
-                };
-                tally.bump();
-                if let Some(lr) = latency::run(
-                    &mut gpu,
-                    &LatencyConfig::standard(MemorySpace::Lds, LoadFlags::CACHE_ALL, 64),
-                ) {
-                    rows.element_mut(CacheKind::Lds).load_latency = Attribute::Measured {
-                        value: lr,
-                        confidence: 1.0,
-                    };
-                }
-            }
-        }
-
-        UnitKind::DeviceMem => {
-            if cfg.wants(CacheKind::DeviceMemory) {
-                let props = api::device_props(&gpu);
-                let space = match gpu.vendor() {
-                    Vendor::Nvidia => MemorySpace::Global,
-                    Vendor::Amd => MemorySpace::Vector,
-                };
-                rows.element_mut(CacheKind::DeviceMemory).size = Attribute::FromApi {
-                    value: props.total_mem_bytes,
-                };
-                tally.bump();
-                if let Some(lr) = latency::run(
-                    &mut gpu,
-                    &LatencyConfig::standard(space, LoadFlags::VOLATILE, 64),
-                ) {
-                    rows.element_mut(CacheKind::DeviceMemory).load_latency = Attribute::Measured {
-                        value: lr,
-                        confidence: 1.0,
-                    };
-                }
-                if cfg.measure_bandwidth {
-                    tally.bump().bump();
-                    if let Some(bw) = bandwidth::run(&mut gpu, CacheKind::DeviceMemory) {
-                        let e = rows.element_mut(CacheKind::DeviceMemory);
-                        e.read_bandwidth_gibs = Attribute::Measured {
-                            value: bw.read_gibs,
-                            confidence: 0.9,
+        UnitKind::Flat(kind) => {
+            if cfg.wants(kind) {
+                let props = api::device_props(&run.gpu);
+                let (size, space, flags) = match kind {
+                    CacheKind::SharedMemory => (
+                        props.shared_mem_per_sm_bytes,
+                        MemorySpace::Shared,
+                        LoadFlags::CACHE_ALL,
+                    ),
+                    CacheKind::Lds => (
+                        props.shared_mem_per_sm_bytes,
+                        MemorySpace::Lds,
+                        LoadFlags::CACHE_ALL,
+                    ),
+                    CacheKind::DeviceMemory => {
+                        let space = match run.gpu.vendor() {
+                            Vendor::Nvidia => MemorySpace::Global,
+                            Vendor::Amd => MemorySpace::Vector,
                         };
-                        e.write_bandwidth_gibs = Attribute::Measured {
-                            value: bw.write_gibs,
-                            confidence: 0.9,
-                        };
+                        (props.total_mem_bytes, space, LoadFlags::VOLATILE)
                     }
+                    other => unreachable!("Flat unit for {other:?}"),
+                };
+                run.row(kind).size = Attribute::FromApi { value: size };
+                let lat_cfg = LatencyConfig::standard(space, flags, 64);
+                run.latency(kind, &lat_cfg, |_| FULL_CONFIDENCE);
+                if kind == CacheKind::DeviceMemory {
+                    run.bandwidth(kind);
                 }
             }
+            None
         }
 
         UnitKind::TlbReach => {
-            tally.bump();
-            match api::page_size(&gpu) {
+            run.count(1);
+            run.result.tlb = match api::page_size(&run.gpu) {
                 Some(page) => {
                     let t_cfg = TlbConfig {
                         record_n: cfg.record_n.min(192),
                         scan_points: cfg.scan_points.min(16),
                         alpha: cfg.alpha,
                         debug: cfg.debug,
-                        ..TlbConfig::new(gpu.vendor(), page)
+                        ..TlbConfig::new(run.gpu.vendor(), page)
                     };
-                    let d = tlb::run(&mut gpu, &t_cfg);
-                    tlb_rows.push(tlb_row(TlbLevel::L1Tlb, page, d.l1));
-                    tlb_rows.push(tlb_row(TlbLevel::L2Tlb, page, d.l2));
+                    let d = tlb::run(&mut run.gpu, &t_cfg);
+                    vec![
+                        tlb_row(TlbLevel::L1Tlb, page, d.l1),
+                        tlb_row(TlbLevel::L2Tlb, page, d.l2),
+                    ]
                 }
                 None => {
                     // Locked-down page-size API: no chase stride, so the
                     // whole section is an honest no-result.
                     let reason = "driver page-size query unavailable in this environment";
-                    tlb_rows.push(TlbReport::unavailable(TlbLevel::L1Tlb, reason));
-                    tlb_rows.push(TlbReport::unavailable(TlbLevel::L2Tlb, reason));
+                    vec![
+                        TlbReport::unavailable(TlbLevel::L1Tlb, reason),
+                        TlbReport::unavailable(TlbLevel::L2Tlb, reason),
+                    ]
                 }
-            }
+            };
+            None
         }
 
         UnitKind::L2Contention => {
-            tally.bump();
+            run.count(1);
             let c_cfg = ContentionConfig {
                 record_n: cfg.record_n.min(192),
-                ..ContentionConfig::new(&gpu)
+                ..ContentionConfig::new(&run.gpu)
             };
-            contention_rows.push(match contention::run(&mut gpu, &c_cfg) {
-                ContentionOutcome::Found(m) => {
-                    let opt = |v: Option<u32>, why: &str| match v {
-                        Some(x) => Attribute::Measured {
-                            value: x,
-                            confidence: 1.0,
-                        },
-                        None => Attribute::Unavailable { reason: why.into() },
-                    };
-                    let lat = |v: Option<f64>, why: &str| match v {
-                        Some(x) => Attribute::Measured {
-                            value: x,
-                            confidence: 0.9,
-                        },
-                        None => Attribute::Unavailable { reason: why.into() },
-                    };
-                    ContentionReport {
-                        victim_sm: m.victim_sm,
-                        segments_estimate: Attribute::Measured {
-                            value: m.segments_estimate,
-                            confidence: 0.9,
-                        },
-                        same_segment_sm: opt(
-                            m.same_segment_sm,
-                            "no same-segment SM among the probed candidates",
-                        ),
-                        cross_segment_sm: opt(
-                            m.cross_segment_sm,
-                            "no cross-segment SM among the probed candidates \
-                             (single visible segment)",
-                        ),
-                        solo_latency_cycles: Attribute::Measured {
-                            value: m.solo_latency,
-                            confidence: 0.9,
-                        },
-                        same_segment_latency_cycles: lat(
-                            m.same_segment_latency,
-                            "no same-segment peer to co-run",
-                        ),
-                        cross_segment_latency_cycles: lat(
-                            m.cross_segment_latency,
-                            "no cross-segment peer to co-run",
-                        ),
-                    }
-                }
+            let row = match contention::run(&mut run.gpu, &c_cfg) {
+                ContentionOutcome::Found(m) => ContentionReport {
+                    victim_sm: m.victim_sm,
+                    segments_estimate: Attribute::Measured {
+                        value: m.segments_estimate,
+                        confidence: NOMINAL_CONFIDENCE,
+                    },
+                    same_segment_sm: measured_or(
+                        m.same_segment_sm,
+                        FULL_CONFIDENCE,
+                        "no same-segment SM among the probed candidates",
+                    ),
+                    cross_segment_sm: measured_or(
+                        m.cross_segment_sm,
+                        FULL_CONFIDENCE,
+                        "no cross-segment SM among the probed candidates \
+                         (single visible segment)",
+                    ),
+                    solo_latency_cycles: Attribute::Measured {
+                        value: m.solo_latency,
+                        confidence: NOMINAL_CONFIDENCE,
+                    },
+                    same_segment_latency_cycles: measured_or(
+                        m.same_segment_latency,
+                        NOMINAL_CONFIDENCE,
+                        "no same-segment peer to co-run",
+                    ),
+                    cross_segment_latency_cycles: measured_or(
+                        m.cross_segment_latency,
+                        NOMINAL_CONFIDENCE,
+                        "no cross-segment peer to co-run",
+                    ),
+                },
                 ContentionOutcome::NoResult { reason } => ContentionReport::unavailable(0, &reason),
-            });
+            };
+            run.result.contention.push(row);
+            None
         }
 
         UnitKind::Policy(cache) => {
-            tally.bump();
-            if gpu.config.quirks.eviction_probe_unavailable {
+            run.count(1);
+            let m = inputs.get(&cache).copied().unwrap_or_default();
+            let row = if run.gpu.config.quirks.eviction_probe_unavailable {
                 // Co-runner pollution makes eviction order unattributable:
                 // the probe would convict the neighbour's traffic, not the
                 // hardware's evictor. Honest no-result (paper Sec. V).
-                policy_rows.push(PolicyReport::unavailable(
+                PolicyReport::unavailable(
                     cache,
                     "eviction-order probing unavailable: co-runner traffic \
                      pollutes the replacement state",
-                ));
+                )
+            } else if let (Some(size), Some(line), Some(hit)) = (m.size, m.line_size, m.hit_latency)
+            {
+                let p_cfg = PolicyConfig::new(run.gpu.vendor(), size, line, hit);
+                policy_row(cache, line, policy::run(&mut run.gpu, &p_cfg))
             } else {
-                let m = inputs.get(&cache).copied().unwrap_or_default();
-                match (m.size, m.line_size, m.hit_latency) {
-                    (Some(size), Some(line), Some(hit)) => {
-                        let p_cfg = PolicyConfig::new(gpu.vendor(), size, line, hit);
-                        policy_rows.push(policy_row(cache, line, policy::run(&mut gpu, &p_cfg)));
-                    }
-                    _ => policy_rows.push(PolicyReport::unavailable(
-                        cache,
-                        "size/line/latency prerequisites missing \
-                         (inputs to the eviction-order probe)",
-                    )),
-                }
-            }
+                PolicyReport::unavailable(
+                    cache,
+                    "size/line/latency prerequisites missing \
+                     (inputs to the eviction-order probe)",
+                )
+            };
+            run.result.policy.push(row);
+            None
         }
 
         UnitKind::Flops(dtype) => {
             // Future-work extension: arithmetic throughput per datatype /
             // engine.
-            tally.bump();
-            flops_entries.push(match flops::run(&mut gpu, dtype) {
+            run.count(1);
+            let entry = match flops::run(&mut run.gpu, dtype) {
                 Some(r) => FlopsEntry {
                     dtype,
                     achieved_gflops: Attribute::Measured {
                         value: r.achieved_gflops,
-                        confidence: 0.9,
+                        confidence: NOMINAL_CONFIDENCE,
                     },
                     best_ilp: Some(r.best_ilp),
                 },
@@ -752,19 +456,259 @@ pub(crate) fn run_unit(
                     },
                     best_ilp: None,
                 },
-            });
+            };
+            run.result.flops.push(entry);
+            None
+        }
+    };
+
+    let stats = run.gpu.stats();
+    run.result.kernels_launched = stats.kernels_launched;
+    run.result.loads_executed = stats.loads_executed;
+    run.result.gpu_cycles = stats.total_cycles;
+    run.result.walked_loads = run.gpu.walked_loads();
+    (run.result, exported)
+}
+
+/// One executing unit: its forked device, the run's config, and the
+/// result its per-attribute helpers fill in.
+struct UnitRun<'a> {
+    gpu: Gpu,
+    cfg: &'a DiscoveryConfig,
+    result: UnitResult,
+}
+
+impl UnitRun<'_> {
+    /// Counts `n` benchmark instances (Sec. V-A accounting).
+    fn count(&mut self, n: u32) {
+        self.result.benchmarks_run += n;
+    }
+
+    /// The report row of `kind`. Only a write creates a row, so rows keep
+    /// the order of their first write and an element an `--only` run
+    /// excludes gets none.
+    fn row(&mut self, kind: CacheKind) -> &mut MemoryElementReport {
+        element_mut(&mut self.result.elements, kind)
+    }
+
+    /// Load latency (Sec. IV-C), one instance; returns the mean, the hit
+    /// latency the element's later benchmarks classify against.
+    fn latency(
+        &mut self,
+        kind: CacheKind,
+        lat_cfg: &LatencyConfig,
+        confidence: fn(&LatencyReport) -> f64,
+    ) -> Option<f64> {
+        self.count(1);
+        let value = latency::run(&mut self.gpu, lat_cfg)?;
+        self.row(kind).load_latency = Attribute::Measured {
+            value,
+            confidence: confidence(&value),
+        };
+        Some(value.mean)
+    }
+
+    /// Fetch granularity (Sec. IV-D) against hit latency `hit`, one
+    /// instance.
+    fn fetch_granularity(
+        &mut self,
+        kind: CacheKind,
+        space: MemorySpace,
+        flags: LoadFlags,
+        hit: f64,
+    ) -> Option<u64> {
+        self.count(1);
+        let fg_cfg = FetchGranularityConfig::new(space, flags, hit);
+        let (value, confidence) = fetch_granularity::run(&mut self.gpu, &fg_cfg)?;
+        self.row(kind).fetch_granularity_bytes = Attribute::Measured { value, confidence };
+        Some(u64::from(value))
+    }
+
+    /// Read and write bandwidth, two instances, when the run measures
+    /// bandwidth.
+    fn bandwidth(&mut self, kind: CacheKind) {
+        if !self.cfg.measure_bandwidth {
+            return;
+        }
+        self.count(2);
+        if let Some(bw) = bandwidth::run(&mut self.gpu, kind) {
+            let row = self.row(kind);
+            row.read_bandwidth_gibs = Attribute::Measured {
+                value: bw.read_gibs,
+                confidence: NOMINAL_CONFIDENCE,
+            };
+            row.write_bandwidth_gibs = Attribute::Measured {
+                value: bw.write_gibs,
+                confidence: NOMINAL_CONFIDENCE,
+            };
         }
     }
 
-    UnitOutput {
-        elements: rows.0,
-        flops: flops_entries,
-        tlb: tlb_rows,
-        contention: contention_rows,
-        policy: policy_rows,
-        measured,
-        benchmarks_run: tally.0,
-        stats: gpu.stats(),
+    /// Size and line size of an AMD cache level from the HSA/KFD tables,
+    /// and its per-GPU `amount` from the API; no benchmark instance. When
+    /// a hostile environment locks the tables down, these attributes
+    /// degrade to honest no-results (paper Sec. V: "no result, not a
+    /// wrong result").
+    fn amd_tables(&mut self, kind: CacheKind, amount: Option<u32>) {
+        let locked = self.gpu.config.quirks.cache_info_apis_unavailable;
+        let size = api::hsa_cache_sizes(&self.gpu)
+            .and_then(|t| t.into_iter().find(|(k, _)| *k == kind).map(|(_, v)| v));
+        let line = api::kfd_cache_line_sizes(&self.gpu)
+            .and_then(|t| t.into_iter().find(|(k, _)| *k == kind).map(|(_, v)| v));
+        let amount = amount.map(|count| AmountReport {
+            count,
+            scope: AmountScope::PerGpu,
+        });
+        if let Some(size) = from_api(size, locked) {
+            self.row(kind).size = size;
+        }
+        if let Some(line) = from_api(line, locked) {
+            self.row(kind).cache_line_bytes = line;
+        }
+        if let Some(amount) = from_api(amount, locked) {
+            self.row(kind).amount = amount;
+        }
+    }
+
+    /// Latency + fetch granularity + size + line size of one cacheable
+    /// element through `.ca` loads; returns what later stages need.
+    /// `latency_bytes` shrinks the latency array and `search_lo` raises the
+    /// size search's floor (the constant path's CL1 and CL1.5); constant
+    /// space caps the search at its 64 KiB array limit.
+    fn cache_element(
+        &mut self,
+        kind: CacheKind,
+        space: MemorySpace,
+        latency_bytes: Option<u64>,
+        search_lo: Option<u64>,
+    ) -> Measured {
+        let mut m = Measured::default();
+        if !self.cfg.wants(kind) {
+            return m;
+        }
+        let flags = LoadFlags::CACHE_ALL;
+
+        // (1) Load latency, on a small fixed array (Sec. IV-C).
+        let mut lat_cfg = LatencyConfig::standard(space, flags, 64);
+        if let Some(bytes) = latency_bytes {
+            lat_cfg.array_bytes = bytes;
+            lat_cfg.stride_bytes = 64.min(bytes / 4).max(4);
+        }
+        m.hit_latency = self.latency(kind, &lat_cfg, spread_confidence);
+        let Some(hit) = m.hit_latency else {
+            return m;
+        };
+
+        // (2) Fetch granularity (Sec. IV-D) — the size benchmark's step.
+        m.fetch_granularity = self.fetch_granularity(kind, space, flags, hit);
+        let fg = m.fetch_granularity.unwrap_or(32);
+
+        // (3) Size (Sec. IV-B).
+        let mut size_cfg = SizeConfig {
+            alpha: self.cfg.alpha,
+            record_n: self.cfg.record_n,
+            scan_points: self.cfg.scan_points,
+            debug: self.cfg.debug,
+            ..SizeConfig::new(space, flags, fg)
+        };
+        if let Some(lo) = search_lo {
+            size_cfg.search_lo = lo;
+        }
+        if space == MemorySpace::Constant {
+            size_cfg.search_cap = size_cfg.search_cap.min(CONSTANT_ARRAY_LIMIT);
+        }
+        self.count(1);
+        self.row(kind).size = match size::run(&mut self.gpu, &size_cfg) {
+            SizeResult::Found {
+                bytes, confidence, ..
+            } => {
+                m.size = Some(bytes);
+                Attribute::Measured {
+                    value: bytes,
+                    confidence,
+                }
+            }
+            SizeResult::ExceedsCap { cap } => Attribute::AtLeast { value: cap },
+            SizeResult::NoResult { reason } => Attribute::Unavailable { reason },
+        };
+
+        // (4) Cache line size (Sec. IV-E) — needs the size as input; the
+        // paper's CL1.5 footnote applies: no size, no line size.
+        self.count(1);
+        self.row(kind).cache_line_bytes = match m.size {
+            Some(size_bytes) => {
+                let ls_cfg = LineSizeConfig::new(space, flags, size_bytes, fg, hit);
+                match line_size::run(&mut self.gpu, &ls_cfg) {
+                    Some((line, confidence)) => {
+                        m.line_size = Some(u64::from(line));
+                        Attribute::Measured {
+                            value: line,
+                            confidence,
+                        }
+                    }
+                    None => Attribute::Unavailable {
+                        reason: "line-size scan inconclusive".into(),
+                    },
+                }
+            }
+            None => Attribute::Unavailable {
+                reason: "cache size unavailable (input to the line-size benchmark)".into(),
+            },
+        };
+        m
+    }
+
+    /// Amount (Sec. IV-F) of an element the run wants, one instance when
+    /// its size, granularity and latency are known.
+    fn amount(&mut self, kind: CacheKind, space: MemorySpace, m: Measured, schedulable: bool) {
+        if !self.cfg.wants(kind) {
+            return;
+        }
+        let (Some(size), Some(fg), Some(lat)) = (m.size, m.fetch_granularity, m.hit_latency) else {
+            self.row(kind).amount = Attribute::Unavailable {
+                reason: "size/granularity/latency prerequisites missing".into(),
+            };
+            return;
+        };
+        self.count(1);
+        let a_cfg = AmountConfig {
+            space,
+            flags: LoadFlags::CACHE_ALL,
+            cache_size: size,
+            fetch_granularity: fg,
+            target_hit_latency: lat,
+            schedulable,
+        };
+        self.row(kind).amount = match amount::run(&mut self.gpu, &a_cfg) {
+            AmountResult::Found { count, .. } => Attribute::Measured {
+                value: AmountReport {
+                    count,
+                    scope: AmountScope::PerSm,
+                },
+                confidence: FULL_CONFIDENCE,
+            },
+            AmountResult::NoResult { reason } => Attribute::Unavailable { reason },
+        };
+    }
+}
+
+/// `value` measured at `confidence`, or an honest no-result saying `why`.
+fn measured_or<T>(value: Option<T>, confidence: f64, why: &str) -> Attribute<T> {
+    match value {
+        Some(value) => Attribute::Measured { value, confidence },
+        None => Attribute::Unavailable { reason: why.into() },
+    }
+}
+
+/// What an API query gave: the value, or — when a hostile environment
+/// locks the HSA/KFD cache tables down — an honest no-result; `None`
+/// leaves the attribute n/a.
+fn from_api<T>(value: Option<T>, locked: bool) -> Option<Attribute<T>> {
+    match value {
+        Some(value) => Some(Attribute::FromApi { value }),
+        None => locked.then(|| Attribute::Unavailable {
+            reason: "HSA/KFD cache tables unavailable in this environment".into(),
+        }),
     }
 }
 
@@ -787,17 +731,12 @@ fn tlb_row(level: TlbLevel, page: u64, outcome: TlbLevelOutcome) -> TlbReport {
                 confidence,
             },
             page_bytes: Attribute::FromApi { value: page },
-            miss_penalty_cycles: match miss_penalty_cycles {
-                Some(value) => Attribute::Measured {
-                    value,
-                    confidence: 0.9,
-                },
-                None => Attribute::Unavailable {
-                    reason: "walk-penalty probes could not run (beyond-reach \
-                             footprint unallocatable)"
-                        .into(),
-                },
-            },
+            miss_penalty_cycles: measured_or(
+                miss_penalty_cycles,
+                NOMINAL_CONFIDENCE,
+                "walk-penalty probes could not run (beyond-reach \
+                 footprint unallocatable)",
+            ),
         },
         TlbLevelOutcome::ExceedsCap { cap } => TlbReport {
             level,
@@ -850,158 +789,4 @@ fn policy_row(element: CacheKind, line_bytes: u64, outcome: PolicyOutcome) -> Po
         },
         PolicyOutcome::NoResult { reason } => PolicyReport::unavailable(element, &reason),
     }
-}
-
-/// The no-result an API-only attribute degrades to when a hostile
-/// environment locks the HSA/KFD cache tables down.
-fn api_locked<T>() -> Attribute<T> {
-    Attribute::Unavailable {
-        reason: "HSA/KFD cache tables unavailable in this environment".into(),
-    }
-}
-
-/// Latency + fetch-granularity + size + line size for one cacheable
-/// element; returns what later stages need.
-#[allow(clippy::too_many_arguments)]
-fn discover_cache_element(
-    gpu: &mut Gpu,
-    cfg: &DiscoveryConfig,
-    rows: &mut ElementRows,
-    tally: &mut Tally,
-    kind: CacheKind,
-    space: MemorySpace,
-    flags: LoadFlags,
-    latency_array_bytes: Option<u64>,
-    search_lo: Option<u64>,
-    search_cap: Option<u64>,
-) -> Measured {
-    let mut m = Measured::default();
-    if !cfg.wants(kind) {
-        return m;
-    }
-
-    // (1) Load latency, on a small fixed array (Sec. IV-C).
-    let mut lat_cfg = LatencyConfig::standard(space, flags, 64);
-    if let Some(bytes) = latency_array_bytes {
-        lat_cfg.array_bytes = bytes;
-        lat_cfg.stride_bytes = 64.min(bytes / 4).max(4);
-    }
-    tally.bump();
-    if let Some(lr) = latency::run(gpu, &lat_cfg) {
-        m.hit_latency = Some(lr.mean);
-        rows.element_mut(kind).load_latency = Attribute::Measured {
-            value: lr,
-            confidence: 1.0 - (lr.stats.std_dev / lr.stats.mean.max(1.0)).min(1.0),
-        };
-    }
-    let Some(hit_lat) = m.hit_latency else {
-        return m;
-    };
-
-    // (2) Fetch granularity (Sec. IV-D) — the size benchmark's step.
-    tally.bump();
-    let fg_cfg = FetchGranularityConfig::new(space, flags, hit_lat);
-    if let Some((fg, conf)) = fetch_granularity::run(gpu, &fg_cfg) {
-        m.fetch_granularity = Some(fg as u64);
-        rows.element_mut(kind).fetch_granularity_bytes = Attribute::Measured {
-            value: fg,
-            confidence: conf,
-        };
-    }
-    let fg = m.fetch_granularity.unwrap_or(32);
-
-    // (3) Size (Sec. IV-B).
-    let mut size_cfg = SizeConfig::new(space, flags, fg);
-    size_cfg.alpha = cfg.alpha;
-    size_cfg.record_n = cfg.record_n;
-    size_cfg.scan_points = cfg.scan_points;
-    size_cfg.debug = cfg.debug;
-    if let Some(lo) = search_lo {
-        size_cfg.search_lo = lo;
-    }
-    if let Some(cap) = search_cap {
-        size_cfg.search_cap = cap;
-    }
-    if space == MemorySpace::Constant {
-        size_cfg.search_cap = size_cfg.search_cap.min(CONSTANT_ARRAY_LIMIT);
-    }
-    tally.bump();
-    match size::run(gpu, &size_cfg) {
-        SizeResult::Found {
-            bytes, confidence, ..
-        } => {
-            m.size = Some(bytes);
-            rows.element_mut(kind).size = Attribute::Measured {
-                value: bytes,
-                confidence,
-            };
-        }
-        SizeResult::ExceedsCap { cap } => {
-            rows.element_mut(kind).size = Attribute::AtLeast { value: cap };
-        }
-        SizeResult::NoResult { reason } => {
-            rows.element_mut(kind).size = Attribute::Unavailable { reason };
-        }
-    }
-
-    // (4) Cache line size (Sec. IV-E) — needs the size as input; the
-    // paper's CL1.5 footnote applies: no size, no line size.
-    tally.bump();
-    if let Some(size_bytes) = m.size {
-        let ls_cfg = LineSizeConfig::new(space, flags, size_bytes, fg, hit_lat);
-        rows.element_mut(kind).cache_line_bytes = match line_size::run(gpu, &ls_cfg) {
-            Some((line, conf)) => {
-                m.line_size = Some(u64::from(line));
-                Attribute::Measured {
-                    value: line,
-                    confidence: conf,
-                }
-            }
-            None => Attribute::Unavailable {
-                reason: "line-size scan inconclusive".into(),
-            },
-        };
-    } else {
-        rows.element_mut(kind).cache_line_bytes = Attribute::Unavailable {
-            reason: "cache size unavailable (input to the line-size benchmark)".into(),
-        };
-    }
-    m
-}
-
-/// Amount benchmark wrapper (Sec. IV-F).
-fn discover_amount(
-    gpu: &mut Gpu,
-    rows: &mut ElementRows,
-    tally: &mut Tally,
-    kind: CacheKind,
-    space: MemorySpace,
-    m: Measured,
-    schedulable: bool,
-) {
-    let (Some(size), Some(fg), Some(lat)) = (m.size, m.fetch_granularity, m.hit_latency) else {
-        rows.element_mut(kind).amount = Attribute::Unavailable {
-            reason: "size/granularity/latency prerequisites missing".into(),
-        };
-        return;
-    };
-    tally.bump();
-    let a_cfg = AmountConfig {
-        space,
-        flags: LoadFlags::CACHE_ALL,
-        cache_size: size,
-        fetch_granularity: fg,
-        target_hit_latency: lat,
-        schedulable,
-    };
-    rows.element_mut(kind).amount = match amount::run(gpu, &a_cfg) {
-        AmountResult::Found { count, .. } => Attribute::Measured {
-            value: AmountReport {
-                count,
-                scope: AmountScope::PerSm,
-            },
-            confidence: 1.0,
-        },
-        AmountResult::NoResult { reason } => Attribute::Unavailable { reason },
-    };
 }

@@ -140,10 +140,11 @@ fn fast_discovery_smoke_emits_l1_json() {
 
 /// `--timings` and `--debug` are purely diagnostic: each must trace to
 /// stderr while leaving the report bytes on stdout identical to a run
-/// without the flag. `--timings` appends per-unit wall-clock lines (and
-/// a total); `--debug` traces every boundary-confirmation probe. Host
-/// timing values are machine-dependent, so only the line *shape* is
-/// asserted.
+/// without the flag. `--timings` appends per-unit wall-clock and work
+/// lines (and a total); `--debug` traces every boundary-confirmation
+/// probe. Host timing values are machine-dependent, so only their line
+/// *shape* is asserted; the work figures are checked against each other
+/// and the report.
 #[test]
 fn timings_flag_traces_stderr_without_changing_report_bytes() {
     let run = |extra: &[&str]| {
@@ -189,6 +190,26 @@ fn timings_flag_traces_stderr_without_changing_report_bytes() {
             .last()
             .is_some_and(|l| l.starts_with("timing total:")),
         "last timing line is the total: {timing_lines:?}"
+    );
+    // Each line also reports work: `…: 3.216 ms, 176 kernels, 4096 walked
+    // loads`. The total sums the units, and its kernels are the report's.
+    let work = |line: &str| -> (u64, u64) {
+        let (_, fields) = line.split_once(" ms, ").expect("work after the time");
+        let (kernels, walked) = fields.split_once(" kernels, ").expect("kernels field");
+        let walked = walked.strip_suffix(" walked loads").expect("walked field");
+        (kernels.parse().unwrap(), walked.parse().unwrap())
+    };
+    let (units, total) = timing_lines.split_at(timing_lines.len() - 1);
+    let summed = units
+        .iter()
+        .map(|l| work(l))
+        .fold((0, 0), |(k, w), (uk, uw)| (k + uk, w + uw));
+    assert_eq!(work(total[0]), summed, "the total sums the unit lines");
+    let report = mt4g_core::report::from_json(&timed_stdout).expect("valid JSON report");
+    assert_eq!(summed.0, report.runtime.kernels_launched);
+    assert!(
+        summed.1 > 0,
+        "T1000 walks its cold passes: {timing_lines:?}"
     );
 
     let (debug_stdout, debug_stderr) = run(&["--debug"]);
