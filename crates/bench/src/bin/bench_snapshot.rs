@@ -33,6 +33,7 @@ use mt4g_sim::cache::{SectoredCache, FULLY_ASSOCIATIVE};
 use mt4g_sim::device::{CacheKind, LoadFlags, MemorySpace, Vendor};
 use mt4g_sim::gpu::Gpu;
 use mt4g_sim::presets;
+use mt4g_sim::scenario;
 
 /// Times `iters` repetitions of `f` and returns the best ns/element.
 fn best_ns_per_elem(iters: u32, elements: u64, mut f: impl FnMut() -> u64) -> f64 {
@@ -113,9 +114,23 @@ fn pchase_workloads(out: &mut Vec<(String, f64)>) {
         });
         out.push((format!("pchase_run/warm_l1_path/{label}"), ns));
     }
+    // A B200 global ring of twice its 256 KiB tree-PLRU L1 at a 32 B
+    // stride: the tree is built at the first victim and walked from then.
     out.push((
         "pchase_run/walked_plru_l1/512KiB".to_string(),
-        walked_chase_ns(),
+        walked_chase_ns(presets::b200(), MemorySpace::Global, 512 << 10, 32),
+    ));
+    // A hostile RX9070XT vector ring of 1.5x its 32 KiB random vL1 at the
+    // 64 B fetch granularity: every load reaches the tree-PLRU L2, which
+    // the ring never fills, so its tree is never built.
+    out.push((
+        "pchase_run/walked_plru_l2/rx9070xt_48KiB".to_string(),
+        walked_chase_ns(
+            scenario::hostile_variant(presets::rx9070xt()),
+            MemorySpace::Vector,
+            48 << 10,
+            64,
+        ),
     ));
     out.push((
         "pchase_run/prime_probe/h100_l1".to_string(),
@@ -124,14 +139,13 @@ fn pchase_workloads(out: &mut Vec<(String, f64)>) {
 }
 
 /// A chase the host walks load by load through `load_via`: a warmed
-/// B200 global ring of twice its 256 KiB tree-PLRU L1 at a 32 B stride,
-/// from a flushed hierarchy. The ring overfills an L1 that is not exact
-/// LRU, so no closed form applies. Reports ns per walked load, the
+/// `bytes` ring in `space` at `stride`, from a flushed hierarchy. The
+/// ring must overfill a first-level cache that is not exact LRU, so no
+/// closed form applies. Reports ns per walked load, the
 /// `Gpu::walked_loads` delta as the denominator, and asserts that the
 /// delta is every load of the chase.
-fn walked_chase_ns() -> f64 {
-    let mut gpu = presets::b200();
-    let cfg = PchaseConfig::sequential(MemorySpace::Global, LoadFlags::CACHE_ALL, 512 << 10, 32);
+fn walked_chase_ns(mut gpu: Gpu, space: MemorySpace, bytes: u64, stride: u64) -> f64 {
+    let cfg = PchaseConfig::sequential(space, LoadFlags::CACHE_ALL, bytes, stride);
     let chase = |gpu: &mut Gpu| {
         gpu.free_all();
         gpu.flush_caches();

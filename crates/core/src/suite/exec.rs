@@ -328,63 +328,63 @@ mod tests {
         ("P6000", "bare", "plain", 40, 868, 32768),
         ("P6000", "bare", "ext", 43, 982, 59478),
         ("P6000", "hostile", "plain", 40, 872, 32768),
-        ("P6000", "hostile", "ext", 43, 872, 32768),
+        ("P6000", "hostile", "ext", 40, 872, 32768),
         ("V100", "bare", "plain", 40, 809, 45056),
         ("V100", "bare", "ext", 43, 923, 79126),
         ("V100", "hostile", "plain", 40, 809, 45056),
-        ("V100", "hostile", "ext", 43, 809, 45056),
+        ("V100", "hostile", "ext", 40, 809, 45056),
         ("T1000", "bare", "plain", 40, 1026, 32768),
         ("T1000", "bare", "ext", 43, 1140, 60118),
         ("T1000", "hostile", "plain", 40, 896, 33984),
-        ("T1000", "hostile", "ext", 43, 896, 33984),
+        ("T1000", "hostile", "ext", 40, 896, 33984),
         ("RTX2080", "bare", "plain", 40, 1036, 32768),
         ("RTX2080", "bare", "ext", 43, 1150, 62678),
         ("RTX2080", "hostile", "plain", 40, 950, 43968),
-        ("RTX2080", "hostile", "ext", 43, 950, 43968),
+        ("RTX2080", "hostile", "ext", 40, 950, 43968),
         ("A100", "bare", "plain", 40, 1088, 32768),
         ("A100", "bare", "ext", 43, 1211, 92182),
         ("A100", "hostile", "plain", 40, 1002, 50112),
-        ("A100", "hostile", "ext", 43, 1002, 50112),
+        ("A100", "hostile", "ext", 40, 1002, 50112),
         ("H100-80", "bare", "plain", 40, 970, 32768),
         ("H100-80", "bare", "ext", 43, 1093, 100982),
         ("H100-80", "hostile", "plain", 40, 1014, 32768),
-        ("H100-80", "hostile", "ext", 43, 1014, 32768),
+        ("H100-80", "hostile", "ext", 40, 1014, 32768),
         ("H100-96", "bare", "plain", 40, 970, 32768),
         ("H100-96", "bare", "ext", 43, 1093, 100982),
         ("H100-96", "hostile", "plain", 40, 1014, 32768),
-        ("H100-96", "hostile", "ext", 43, 1014, 32768),
+        ("H100-96", "hostile", "ext", 40, 1014, 32768),
         ("MI100", "bare", "plain", 23, 1733, 24576),
         ("MI100", "bare", "ext", 26, 1847, 51926),
         ("MI100", "hostile", "plain", 23, 397, 24576),
-        ("MI100", "hostile", "ext", 26, 397, 24576),
+        ("MI100", "hostile", "ext", 23, 397, 24576),
         ("MI210", "bare", "plain", 23, 1539, 24576),
         ("MI210", "bare", "ext", 26, 1653, 51926),
         ("MI210", "hostile", "plain", 23, 395, 24576),
-        ("MI210", "hostile", "ext", 26, 395, 24576),
+        ("MI210", "hostile", "ext", 23, 395, 24576),
         ("MI300X", "bare", "plain", 25, 330, 24576),
-        ("MI300X", "bare", "ext", 28, 439, 62526),
+        ("MI300X", "bare", "ext", 27, 439, 62526),
         ("MI300X", "hostile", "plain", 25, 405, 24576),
-        ("MI300X", "hostile", "ext", 28, 405, 24576),
+        ("MI300X", "hostile", "ext", 25, 405, 24576),
         ("B200", "bare", "plain", 40, 927, 3422570),
         ("B200", "bare", "ext", 43, 1053, 3562518),
         ("B200", "hostile", "plain", 40, 927, 3422570),
-        ("B200", "hostile", "ext", 43, 927, 3422570),
+        ("B200", "hostile", "ext", 40, 927, 3422570),
         ("GB200", "bare", "plain", 40, 956, 2473362),
         ("GB200", "bare", "ext", 43, 1082, 2575656),
         ("GB200", "hostile", "plain", 40, 956, 2473362),
-        ("GB200", "hostile", "ext", 43, 956, 2473362),
+        ("GB200", "hostile", "ext", 40, 956, 2473362),
         ("RX7900XTX", "bare", "plain", 25, 1456, 90511),
         ("RX7900XTX", "bare", "ext", 28, 1573, 130769),
         ("RX7900XTX", "hostile", "plain", 25, 511, 190709),
-        ("RX7900XTX", "hostile", "ext", 28, 511, 190709),
+        ("RX7900XTX", "hostile", "ext", 25, 511, 190709),
         ("RX9070XT", "bare", "plain", 25, 1310, 301080),
         ("RX9070XT", "bare", "ext", 28, 1427, 340686),
         ("RX9070XT", "hostile", "plain", 25, 955, 472061),
-        ("RX9070XT", "hostile", "ext", 28, 955, 472061),
+        ("RX9070XT", "hostile", "ext", 25, 955, 472061),
         ("H100-hostile", "bare", "plain", 40, 1014, 32768),
-        ("H100-hostile", "bare", "ext", 43, 1014, 32768),
+        ("H100-hostile", "bare", "ext", 40, 1014, 32768),
         ("MI210-hostile", "bare", "plain", 23, 395, 24576),
-        ("MI210-hostile", "bare", "ext", 26, 395, 24576),
+        ("MI210-hostile", "bare", "ext", 23, 395, 24576),
     ];
 
     /// Pins each cell's work: benchmark instances and kernels exactly,

@@ -335,7 +335,6 @@ pub(crate) fn run_unit(
         }
 
         UnitKind::TlbReach => {
-            run.count(1);
             run.result.tlb = match api::page_size(&run.gpu) {
                 Some(page) => {
                     let t_cfg = TlbConfig {
@@ -361,11 +360,11 @@ pub(crate) fn run_unit(
                     ]
                 }
             };
+            run.count_if_issued();
             None
         }
 
         UnitKind::L2Contention => {
-            run.count(1);
             let c_cfg = ContentionConfig {
                 record_n: cfg.record_n.min(192),
                 ..ContentionConfig::new(&run.gpu)
@@ -406,11 +405,11 @@ pub(crate) fn run_unit(
                 ContentionOutcome::NoResult { reason } => ContentionReport::unavailable(0, &reason),
             };
             run.result.contention.push(row);
+            run.count_if_issued();
             None
         }
 
         UnitKind::Policy(cache) => {
-            run.count(1);
             let m = inputs.get(&cache).copied().unwrap_or_default();
             let row = if run.gpu.config.quirks.eviction_probe_unavailable {
                 // Co-runner pollution makes eviction order unattributable:
@@ -433,6 +432,7 @@ pub(crate) fn run_unit(
                 )
             };
             run.result.policy.push(row);
+            run.count_if_issued();
             None
         }
 
@@ -482,6 +482,18 @@ impl UnitRun<'_> {
     /// Counts `n` benchmark instances (Sec. V-A accounting).
     fn count(&mut self, n: u32) {
         self.result.benchmarks_run += n;
+    }
+
+    /// Counts one benchmark instance if the unit's device launched a
+    /// kernel or issued a load. A benchmark that stops at a missing
+    /// prerequisite (a locked-down page-size API, blocks it cannot
+    /// co-locate, eviction probing unavailable) executed nothing, so it
+    /// counts nothing.
+    fn count_if_issued(&mut self) {
+        let stats = self.gpu.stats();
+        if stats.kernels_launched > 0 || stats.loads_executed > 0 {
+            self.count(1);
+        }
     }
 
     /// The report row of `kind`. Only a write creates a row, so rows keep

@@ -48,10 +48,17 @@
 //!   serves every policy: the index and arena, plus the policy's recency
 //!   state on the side — an intrusive recency list threaded through the
 //!   arena for exact LRU (O(1) lookup, O(1) eviction), two segment lists
-//!   for SLRU, tree bits for PLRU, nothing for random and bypass. Its one
-//!   MRU-line filter remembers the slot of the last access and skips only
-//!   the index lookup on a repeat; the policy's recency update still
-//!   runs. Index and arena grow lazily (nothing is allocated before the
+//!   for SLRU, a PLRU tree, nothing for random and bypass. The PLRU tree
+//!   is built only when it must pick a victim: from a flush a touch or
+//!   fill just stamps its slot, the first victim builds in one pass the
+//!   bits that touching the slots in stamp order would have left, and the
+//!   tree is kept eagerly from then until the next flush. So a level that
+//!   a scan never fills (a hostile AMD L2 behind a vL1-sized ring) never
+//!   walks its tree. The store's one MRU-line filter remembers the slot
+//!   of the last access; a repeat skips the index lookup, and the
+//!   policy's recency update too unless the policy is SLRU, the one
+//!   policy a repeat touch changes (it promotes a probation line). Index,
+//!   arena and PLRU stamps grow lazily (nothing is allocated before the
 //!   first access), so huge caches (e.g. a 256 MiB L3) cost memory
 //!   proportional to their *resident* lines, and eviction recycles slots
 //!   in place.
@@ -370,11 +377,112 @@ fn plru_victim(bits: &[u64], padded: u64, valid: u64) -> u64 {
     lo
 }
 
-/// Bit-words needed for the internal nodes of a PLRU tree over `padded`
-/// leaves (zero for a 1-leaf tree, which has no internal nodes).
+/// Bit-words a built PLRU tree over `padded` leaves keeps: one bit per
+/// internal node, and at least one word, so a built tree is never empty
+/// (a 1-leaf tree has no internal nodes).
 #[inline]
 fn plru_words(padded: u64) -> usize {
-    ((padded - 1) as usize).div_ceil(64)
+    ((padded - 1) as usize).div_ceil(64).max(1)
+}
+
+/// Builds, in one bottom-up pass, the pointer bits that touching the
+/// leaves of a cleared tree over `padded` leaves in the order of their
+/// `stamps` would have left: a node points right iff the newest stamp
+/// under it lies in its left subtree. Leaf `i` carries `stamps[i]`;
+/// leaves past the slice (padding) and stamp 0 count as never touched,
+/// which leaves their nodes pointing left, as on a cleared tree.
+/// Consumes `stamps`: each level reduces them in place to the newest
+/// stamp under each node.
+#[cold]
+fn plru_build(padded: u64, stamps: &mut [u64]) -> Box<[u64]> {
+    let mut bits = vec![0; plru_words(padded)];
+    // Nodes `width..2 * width` are one level; entries `..live` of
+    // `stamps` hold their newest stamps, the rest are 0.
+    let mut width = padded as usize;
+    let mut live = stamps.len();
+    while width > 1 {
+        let half = width / 2;
+        for i in 0..live.div_ceil(2) {
+            let left = stamps[2 * i];
+            let right = if 2 * i + 1 < live {
+                stamps[2 * i + 1]
+            } else {
+                0
+            };
+            if left > right {
+                let idx = half + i - 1;
+                bits[idx >> 6] |= 1 << (idx & 63);
+            }
+            stamps[i] = left.max(right);
+        }
+        live = live.div_ceil(2);
+        width = half;
+    }
+    bits.into_boxed_slice()
+}
+
+/// A tree-PLRU over arena slots whose tree exists only once a victim is
+/// needed (the tree's leaves are the capacity rounded up to a power of
+/// two). From a flush until the first victim, a touch or fill only
+/// stamps its slot from `clock`; the first victim builds the tree from
+/// the stamps ([`plru_build`]), and from then on every touch and fill
+/// walks it ([`plru_touch`]) until the next flush returns to stamping.
+/// The bits are a boxed slice, so [`FaState`] stays the size of its SLRU
+/// arm and no other policy's cache grows.
+#[derive(Debug, Default)]
+struct LazyPlru {
+    /// Pointer bits of the built tree; empty while stamping.
+    bits: Box<[u64]>,
+    /// While stamping: the stamp of each slot's last touch or fill,
+    /// newest highest; empty once built.
+    stamps: Vec<u64>,
+    /// The last stamp handed out since the flush.
+    clock: u64,
+}
+
+impl LazyPlru {
+    /// A touch or fill of `slot` in a tree over `capacity` slots.
+    #[inline]
+    fn touch(&mut self, capacity: u64, slot: u32) {
+        if self.bits.is_empty() {
+            self.clock += 1;
+            match self.stamps.get_mut(slot as usize) {
+                Some(stamp) => *stamp = self.clock,
+                None => {
+                    // Before the first victim every fill takes a new slot.
+                    debug_assert_eq!(slot as usize, self.stamps.len());
+                    self.stamps.push(self.clock);
+                }
+            }
+        } else {
+            plru_touch(&mut self.bits, capacity.next_power_of_two(), slot as u64);
+        }
+    }
+
+    /// The victim among `capacity` full slots; the first since the flush
+    /// builds the tree.
+    fn victim(&mut self, capacity: u64) -> u32 {
+        let padded = capacity.next_power_of_two();
+        if self.bits.is_empty() {
+            self.bits = plru_build(padded, &mut self.stamps);
+            self.stamps.clear();
+        }
+        plru_victim(&self.bits, padded, capacity) as u32
+    }
+
+    /// Returns to stamping; the next victim builds a new tree.
+    ///
+    /// Out of line: a kernel launch flushes every cache instance, and
+    /// with the tree's drop inlined `SectoredCache::flush` grew past
+    /// what the hierarchy's flush loop inlines, which made an H100-80
+    /// `flush_caches` (no tree-PLRU level) 2.5 µs instead of 2.0.
+    #[cold]
+    #[inline(never)]
+    fn flush(&mut self) {
+        self.bits = Box::default();
+        self.stamps.clear();
+        self.clock = 0;
+    }
 }
 
 // --- the fully-associative store ---
@@ -429,8 +537,9 @@ fn list_push_tail(slots: &mut [FaSlot], ends: &mut ListEnds, slot: u32) {
 enum FaState {
     /// Exact LRU: one intrusive recency list (head = LRU end, the victim).
     Lru(ListEnds),
-    /// Tree-PLRU over the whole arena (leaf = arena index).
-    Plru { bits: Vec<u64>, padded: u64 },
+    /// Tree-PLRU over the whole arena (leaf = arena index), built at
+    /// the first victim after a flush.
+    Plru(LazyPlru),
     /// Segmented LRU: probation + protected intrusive lists (head = LRU
     /// end) and a segment-membership bitvector over arena indices.
     Slru {
@@ -458,12 +567,10 @@ struct FaPolicyStore {
     slots: Vec<FaSlot>,
     state: FaState,
     /// MRU line filter: the line address and arena slot of the last
-    /// access. It short-circuits only the index lookup — the policy
-    /// `touch` still runs, because a repeat touch is *not* a recency
-    /// no-op for every policy (SLRU promotes a probation line to
-    /// protected on its second touch). The slot tag is re-verified, so
-    /// in-place eviction recycling falls through safely. `EMPTY_TAG` =
-    /// invalid.
+    /// access. A repeat skips the index lookup, and under every policy
+    /// but SLRU the `touch` too (see [`Self::access`]). The slot tag is
+    /// re-verified, so in-place eviction recycling falls through safely.
+    /// `EMPTY_TAG` = invalid.
     mru_line: u64,
     mru_slot: u32,
 }
@@ -472,13 +579,7 @@ impl FaPolicyStore {
     fn new(capacity_lines: u64, policy: ReplacementPolicy) -> Self {
         let state = match policy {
             ReplacementPolicy::Lru => FaState::Lru(EMPTY_LIST),
-            ReplacementPolicy::TreePlru => {
-                let padded = capacity_lines.next_power_of_two();
-                FaState::Plru {
-                    bits: vec![0; plru_words(padded)],
-                    padded,
-                }
-            }
+            ReplacementPolicy::TreePlru => FaState::Plru(LazyPlru::default()),
             ReplacementPolicy::Slru => FaState::Slru {
                 prob: EMPTY_LIST,
                 prot: EMPTY_LIST,
@@ -509,7 +610,7 @@ impl FaPolicyStore {
                     list_push_tail(&mut self.slots, list, slot);
                 }
             }
-            FaState::Plru { bits, padded } => plru_touch(bits, *padded, slot as u64),
+            FaState::Plru(tree) => tree.touch(self.capacity_lines, slot),
             FaState::Slru {
                 prob,
                 prot,
@@ -550,7 +651,7 @@ impl FaPolicyStore {
     fn on_fill(&mut self, slot: u32) {
         match &mut self.state {
             FaState::Lru(list) => list_push_tail(&mut self.slots, list, slot),
-            FaState::Plru { bits, padded } => plru_touch(bits, *padded, slot as u64),
+            FaState::Plru(tree) => tree.touch(self.capacity_lines, slot),
             FaState::Slru { prob, seg, .. } => {
                 // New lines enter probation at the MRU end.
                 seg[slot as usize / 64] &= !(1 << (slot % 64));
@@ -560,14 +661,24 @@ impl FaPolicyStore {
         }
     }
 
-    /// One access: MRU-line probe skip, then the full path.
+    /// One access: the MRU-line filter, then the full path.
+    ///
+    /// A repeat access of the most recent line skips the index lookup,
+    /// and runs `touch` only under SLRU, whose second touch promotes a
+    /// probation line to protected. Under every other policy a repeat
+    /// touch changes nothing: the line is already the tail of the exact
+    /// LRU list, the newest stamp of an unbuilt PLRU tree, or the leaf a
+    /// built tree's path already points away from; random and bypass
+    /// keep no recency.
     #[inline]
     fn access(&mut self, line_addr: u64, sector_bit: u64) -> Access {
         if line_addr == self.mru_line {
             if let Some(s) = self.slots.get(self.mru_slot as usize) {
                 if s.tag == line_addr {
                     let slot = self.mru_slot;
-                    self.touch(slot);
+                    if let FaState::Slru { .. } = self.state {
+                        self.touch(slot);
+                    }
                     let s = &mut self.slots[slot as usize];
                     let had = s.valid_sectors & sector_bit != 0;
                     s.valid_sectors |= sector_bit;
@@ -611,9 +722,7 @@ impl FaPolicyStore {
                     list_unlink(&mut self.slots, list, v);
                     v
                 }
-                FaState::Plru { bits, padded } => {
-                    plru_victim(bits, *padded, self.capacity_lines) as u32
-                }
+                FaState::Plru(tree) => tree.victim(self.capacity_lines),
                 FaState::Random(rng) => rng.below(self.capacity_lines) as u32,
                 FaState::Slru {
                     prob,
@@ -665,7 +774,7 @@ impl FaPolicyStore {
         self.mru_line = EMPTY_TAG;
         match &mut self.state {
             FaState::Lru(list) => *list = EMPTY_LIST,
-            FaState::Plru { bits, .. } => bits.iter_mut().for_each(|b| *b = 0),
+            FaState::Plru(tree) => tree.flush(),
             FaState::Slru {
                 prob,
                 prot,
@@ -1189,6 +1298,79 @@ mod tests {
         }
         assert!(c.probe(0), "protected line 0 must survive the scan");
         assert!(c.probe(64), "protected line 1 must survive the scan");
+    }
+
+    /// The PLRU tree built from stamps against one kept with `plru_touch`
+    /// on every access since the flush, over capacities 1–300: random
+    /// fills and hits (repeats of the last line included) until the
+    /// store is full, then misses and hits, three flushes apart. The
+    /// first victim after each flush must be the eager tree's, and the
+    /// built tree must hold the eager bit on every node above a real leaf
+    /// (nodes over padding alone are never read); every later victim must
+    /// match too.
+    #[test]
+    fn lazy_plru_tree_matches_an_eager_one() {
+        let mut rng = Xorshift64::for_geometry(0x1a2e);
+        let mut next_line = 0u64;
+        for capacity in 1..=300u64 {
+            let padded = capacity.next_power_of_two();
+            let mut store = FaPolicyStore::new(capacity, ReplacementPolicy::TreePlru);
+            for _ in 0..3 {
+                let mut eager = vec![0u64; plru_words(padded)];
+                let mut last = None;
+                // Accesses, on both trees, a new line one time in
+                // `miss_one_in` (never if 0) or when the store is empty,
+                // else a resident line, the last one a third of the time.
+                let mut step = |store: &mut FaPolicyStore,
+                                eager: &mut Vec<u64>,
+                                rng: &mut Xorshift64,
+                                miss_one_in: u64| {
+                    let miss =
+                        store.slots.is_empty() || miss_one_in > 0 && rng.below(miss_one_in) == 0;
+                    let line = match (miss, last) {
+                        (false, Some(line)) if rng.below(3) == 0 => line,
+                        (false, _) => store.slots[rng.below(store.slots.len() as u64) as usize].tag,
+                        (true, _) => {
+                            next_line += 1;
+                            next_line
+                        }
+                    };
+                    let want = (miss && store.slots.len() as u64 == capacity)
+                        .then(|| plru_victim(eager, padded, capacity));
+                    store.access(line, 1);
+                    let slot = store.index.find(line).expect("the line is resident") as u64;
+                    if let Some(want) = want {
+                        assert_eq!(slot, want, "capacity {capacity}: victim");
+                    }
+                    plru_touch(eager, padded, slot);
+                    last = Some(line);
+                };
+                while (store.slots.len() as u64) < capacity {
+                    step(&mut store, &mut eager, &mut rng, 3);
+                }
+                for _ in 0..rng.below(capacity) {
+                    step(&mut store, &mut eager, &mut rng, 0);
+                }
+                let FaState::Plru(tree) = &store.state else {
+                    unreachable!("a tree-PLRU store")
+                };
+                assert!(tree.bits.is_empty(), "capacity {capacity}: no victim yet");
+                let built = plru_build(padded, &mut tree.stamps.clone());
+                for node in 1..padded {
+                    let depth = node.ilog2();
+                    let first_leaf = (node - (1 << depth)) * (padded >> depth);
+                    let idx = (node - 1) as usize;
+                    let bit = |bits: &[u64]| (bits[idx >> 6] >> (idx & 63)) & 1;
+                    if first_leaf < capacity {
+                        assert_eq!(bit(&built), bit(&eager), "capacity {capacity}: node {node}");
+                    }
+                }
+                for _ in 0..2 * capacity.min(20) {
+                    step(&mut store, &mut eager, &mut rng, 2);
+                }
+                store.flush();
+            }
+        }
     }
 
     #[test]
