@@ -475,7 +475,8 @@ impl LazyPlru {
     /// Out of line: a kernel launch flushes every cache instance, and
     /// with the tree's drop inlined `SectoredCache::flush` grew past
     /// what the hierarchy's flush loop inlines, which made an H100-80
-    /// `flush_caches` (no tree-PLRU level) 2.5 µs instead of 2.0.
+    /// `flush_caches` (no tree-PLRU level) take 2.5 µs instead of 2.0
+    /// on a 2-vCPU x86-64 host.
     #[cold]
     #[inline(never)]
     fn flush(&mut self) {
