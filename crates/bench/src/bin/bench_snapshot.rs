@@ -7,12 +7,12 @@
 //! ```
 //!
 //! Each hot-path entry reports nanoseconds per element (cache access,
-//! chased load, serve-cache lookup or key derivation), the best of a few
-//! repetitions. The `suite_wallclock/*` entries are milliseconds of a
-//! fast discovery, and `policy_fingerprint` is the replacement-policy
-//! classifier's accuracy, which is deterministic. When a `baseline.json`
-//! written by an earlier run is given, each entry also records the
-//! baseline and the speedup factor. CI gates the snapshot with
+//! chased or walked load, timed step, flush, serve-cache lookup or key
+//! derivation), the best of a few repetitions. The `suite_wallclock/*`
+//! entries are milliseconds of a fast discovery, and `policy_fingerprint`
+//! is the replacement-policy classifier's accuracy, which is
+//! deterministic. When a `baseline.json` written by an earlier run is
+//! given, each entry also records the baseline and the speedup factor. CI gates the snapshot with
 //! `bench_gate --table` against `BENCH_baseline.json`: a hot-path entry
 //! that regresses past its slack, or a floor that does not hold, fails
 //! the job. The `suite_wallclock/*` entries are recorded, never gated.
@@ -118,7 +118,13 @@ fn pchase_workloads(out: &mut Vec<(String, f64)>) {
     // stride: the tree is built at the first victim and walked from then.
     out.push((
         "pchase_run/walked_plru_l1/512KiB".to_string(),
-        walked_chase_ns(presets::b200(), MemorySpace::Global, 512 << 10, 32),
+        walked_chase_ns(
+            presets::b200(),
+            MemorySpace::Global,
+            LoadFlags::CACHE_ALL,
+            512 << 10,
+            32,
+        ),
     ));
     // A hostile RX9070XT vector ring of 1.5x its 32 KiB random vL1 at the
     // 64 B fetch granularity: every load reaches the tree-PLRU L2, which
@@ -128,8 +134,24 @@ fn pchase_workloads(out: &mut Vec<(String, f64)>) {
         walked_chase_ns(
             scenario::hostile_variant(presets::rx9070xt()),
             MemorySpace::Vector,
+            LoadFlags::CACHE_ALL,
             48 << 10,
             64,
+        ),
+    ));
+    // The TLB-reach benchmark's path: an MI210 `glc` vector ring, one
+    // element per page, over twice the L1 TLB's reach, so every load
+    // re-misses the L1 TLB and hits the L2 TLB.
+    let mi210 = presets::mi210();
+    let tlb = mi210.config.tlb.expect("MI210 models a TLB");
+    out.push((
+        "pchase_run/walked_tlb/mi210_2x_l1_reach".to_string(),
+        walked_chase_ns(
+            mi210,
+            MemorySpace::Vector,
+            LoadFlags::CACHE_GLOBAL,
+            2 * tlb.l1_reach_bytes(),
+            tlb.page_bytes,
         ),
     ));
     out.push((
@@ -139,13 +161,19 @@ fn pchase_workloads(out: &mut Vec<(String, f64)>) {
 }
 
 /// A chase the host walks load by load through `load_via`: a warmed
-/// `bytes` ring in `space` at `stride`, from a flushed hierarchy. The
-/// ring must overfill a first-level cache that is not exact LRU, so no
-/// closed form applies. Reports ns per walked load, the
-/// `Gpu::walked_loads` delta as the denominator, and asserts that the
-/// delta is every load of the chase.
-fn walked_chase_ns(mut gpu: Gpu, space: MemorySpace, bytes: u64, stride: u64) -> f64 {
-    let cfg = PchaseConfig::sequential(space, LoadFlags::CACHE_ALL, bytes, stride);
+/// `bytes` ring in `space` with `flags` at `stride`, from a flushed
+/// hierarchy. The ring must overfill a first-level cache that is not
+/// exact LRU, or the L1 TLB, so no closed form applies. Reports ns per
+/// walked load, the `Gpu::walked_loads` delta as the denominator, and
+/// asserts that the delta is every load of the chase.
+fn walked_chase_ns(
+    mut gpu: Gpu,
+    space: MemorySpace,
+    flags: LoadFlags,
+    bytes: u64,
+    stride: u64,
+) -> f64 {
+    let cfg = PchaseConfig::sequential(space, flags, bytes, stride);
     let chase = |gpu: &mut Gpu| {
         gpu.free_all();
         gpu.flush_caches();
@@ -307,6 +335,66 @@ fn baseline_ns(baseline: &str, name: &str) -> Option<f64> {
     baseline_val(baseline, name, "ns_per_element")
 }
 
+/// The noise of a timed pass: an H100-80 global ring of the L1's
+/// capacity at its fetch granularity, warmed from a flushed hierarchy,
+/// so the lap is charged in closed form and each of the 256 timed steps
+/// costs mostly its noise draw. Reports ns per timed step.
+fn timed_pass_ns() -> f64 {
+    let mut gpu = presets::h100_80();
+    let l1 = *gpu.config.cache(CacheKind::L1).expect("H100-80 has an L1");
+    let cfg = PchaseConfig::sequential(
+        MemorySpace::Global,
+        LoadFlags::CACHE_ALL,
+        l1.size,
+        u64::from(l1.fetch_granularity),
+    );
+    best_ns_per_elem(5, 64 * 256, || {
+        let walked = gpu.walked_loads();
+        let mut steps = 0;
+        for _ in 0..64 {
+            gpu.free_all();
+            gpu.flush_caches();
+            let run = run_pchase_with_overhead(black_box(&mut gpu), &cfg, 8.0).unwrap();
+            steps += run.latencies.len() as u64;
+        }
+        assert_eq!(gpu.walked_loads(), walked, "the chase walks no load");
+        steps
+    })
+}
+
+/// One `flush_caches` after one probe on an H100-80: a cold 256-step
+/// chase from SM 0 through its L1 and the L2, which the host walks, as
+/// the fetch-granularity scans do. Each of 256 probes runs untimed and
+/// its flush is timed on its own, so the row includes one clock read
+/// pair per flush. Reports ns per flush.
+fn flush_after_probe_ns() -> f64 {
+    let mut gpu = presets::h100_80();
+    let l1 = *gpu.config.cache(CacheKind::L1).expect("H100-80 has an L1");
+    let cfg = PchaseConfig {
+        warmup: false,
+        ..PchaseConfig::sequential(
+            MemorySpace::Global,
+            LoadFlags::CACHE_ALL,
+            256 * u64::from(l1.fetch_granularity),
+            u64::from(l1.fetch_granularity),
+        )
+    };
+    let flushes = 256;
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        let mut nanos = 0;
+        for _ in 0..flushes {
+            gpu.free_all();
+            run_pchase_with_overhead(&mut gpu, &cfg, 8.0).unwrap();
+            let t = Instant::now();
+            black_box(&mut gpu).flush_caches();
+            nanos += t.elapsed().as_nanos();
+        }
+        best = best.min(nanos as f64 / flushes as f64);
+    }
+    best
+}
+
 fn main() {
     let out_path = std::env::args().nth(1);
     let baseline = std::env::args()
@@ -315,6 +403,11 @@ fn main() {
     let mut results: Vec<(String, f64)> = Vec::new();
     cache_workloads(&mut results);
     pchase_workloads(&mut results);
+    results.push(("noise/timed_pass/h100_l1_256".to_string(), timed_pass_ns()));
+    results.push((
+        "gpu/flush_caches/h100_80".to_string(),
+        flush_after_probe_ns(),
+    ));
     serve_workloads(&mut results);
     let mut suite: Vec<(String, f64)> = Vec::new();
     suite_wallclock(&mut suite);

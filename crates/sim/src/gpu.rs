@@ -23,7 +23,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::device::{DeviceConfig, LoadFlags, MemorySpace, Vendor, CONSTANT_ARRAY_LIMIT};
 use crate::hierarchy::{LoadResolution, MemorySubsystem};
 use crate::isa::{Instr, Kernel};
-use crate::noise::NoiseModel;
+use crate::noise::{NoiseDraw, NoiseModel};
 
 /// Handle to a device buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,6 +91,9 @@ fn read_mem(buffers: &[Buffer], addr: u64) -> u32 {
 const ALU_COST: u64 = 1;
 /// Cycle cost of a shared-memory store inside the timed step.
 const STORE_SHARED_COST: u64 = 2;
+/// Timed steps whose noise [`Gpu::pchase_batch`] draws at once, on the
+/// stack: a benchmark's whole pass (256 recorded latencies or fewer).
+const NOISE_CHUNK: usize = 256;
 
 /// Outcome of one kernel launch.
 #[derive(Debug, Clone, PartialEq)]
@@ -369,8 +372,10 @@ impl Gpu {
     /// The kernel's `MovImm` preamble (the base, then an address and a
     /// counter for each loop present) costs one ALU cycle per instruction
     /// and never sits between two clock reads, so it is charged up front.
-    /// Only the timed loads draw measurement noise, one
-    /// [`NoiseModel::sample`] each, in load order. A warm-up load sits in
+    /// Only the timed loads draw measurement noise, one [`NoiseDraw`]
+    /// each, in load order, drawn ahead of the loads with
+    /// [`NoiseModel::draw_into`] and applied to each load's latency as
+    /// [`NoiseModel::sample`] would. A warm-up load sits in
     /// no clock window, so it is charged its noiseless latency and
     /// consumes no RNG: a chase's draws, and so the noise its records
     /// see, do not depend on how long its warm-up lap was.
@@ -421,39 +426,55 @@ impl Gpu {
         let ring = self
             .ring_at(batch.base, batch.elem_bytes)
             .expect("a p-chase batch starts a ring of its stride");
-        let closed = self
+        // `Ok`: the lap log took the batch in closed form. `Err`: the batch
+        // walks its route, marked once for the next flush.
+        let pass = self
             .mem
-            .defer_lap(&route, sm, ring, batch.warm_steps, batch.timed_steps);
+            .defer_lap(&route, sm, ring, batch.warm_steps, batch.timed_steps)
+            .ok_or_else(|| self.mem.mark(&route, sm));
 
         // Warm-up pass: Load + MulImm + Add + BranchDecNz per element.
         let warm_cost = |latency: u32| latency.max(1) as u64 + 3 * ALU_COST;
-        if let Some(closed) = &closed {
-            if warms {
-                self.cycle += closed.lap_cycles(warm_cost);
+        match &pass {
+            Ok(closed) => {
+                if warms {
+                    self.cycle += closed.lap_cycles(warm_cost);
+                }
             }
-        } else {
-            let mut addr = batch.base;
-            for _ in 0..batch.warm_steps {
-                self.cycle += warm_cost(self.mem.load_via(&route, sm, addr).latency);
-                addr = ring.next(addr);
+            Err(via) => {
+                let mut addr = batch.base;
+                for _ in 0..batch.warm_steps {
+                    self.cycle += warm_cost(self.mem.load_via(via, addr).latency);
+                    addr = ring.next(addr);
+                }
             }
         }
         // Timed pass, restarting from element 0: per step
         // [fences;] clock; load; store/fences; clock; sub; record; mul; add;
         // branch — the recorded value is `latency + store cost + overhead`.
+        // A walk draws no noise, so each chunk of steps draws its noise
+        // before its loads, in step order.
         let mut records = Vec::with_capacity(max_records.min(4096));
+        let mut noise = [NoiseDraw::default(); NOISE_CHUNK];
         let mut addr = batch.base;
-        for step in 0..batch.timed_steps {
-            let latency = match &closed {
-                Some(closed) => closed.step_latency(step),
-                None => self.mem.load_via(&route, sm, addr).latency,
-            };
-            let lat = self.noise.sample(&mut self.rng, latency);
-            self.cycle += pre_fences + 2 * overhead + lat as u64 + STORE_SHARED_COST + 4 * ALU_COST;
-            if records.len() < max_records {
-                records.push((lat as u64 + STORE_SHARED_COST + overhead) as u32);
+        let mut step = 0;
+        while step < batch.timed_steps {
+            let draws = &mut noise[..(batch.timed_steps - step).min(NOISE_CHUNK as u64) as usize];
+            self.noise.draw_into(&mut self.rng, draws);
+            for draw in draws.iter() {
+                let latency = match &pass {
+                    Ok(closed) => closed.step_latency(step),
+                    Err(via) => self.mem.load_via(via, addr).latency,
+                };
+                let lat = self.noise.apply(latency, *draw);
+                self.cycle +=
+                    pre_fences + 2 * overhead + lat as u64 + STORE_SHARED_COST + 4 * ALU_COST;
+                if records.len() < max_records {
+                    records.push((lat as u64 + STORE_SHARED_COST + overhead) as u32);
+                }
+                addr = ring.next(addr);
+                step += 1;
             }
-            addr = ring.next(addr);
         }
         self.stats.loads_executed += batch.warm_steps + batch.timed_steps;
         let cycles = self.cycle - start_cycle;
@@ -1419,5 +1440,130 @@ mod tests {
             planted_closed >= 110,
             "only {planted_closed} cases with a planted non-LRU level took a closed form"
         );
+    }
+
+    /// The touched-only flush against flushing every cache and TLB, on
+    /// T1000, MI300X, H100-80 and an A100 `mig:2g.10gb` slice (exact LRU
+    /// everywhere), B200 (tree-PLRU L1), GB200 (SLRU L1), the hostile
+    /// RX9070XT (random vL1, tree-PLRU L2) and the hostile H100-80
+    /// (bypassing constant L1.5), so that every policy's flush of a
+    /// flushed store is exercised: two twin
+    /// devices run the same random operations — batches on every route
+    /// kind (warmed laps, which the lap log may take, and walked warm-ups
+    /// and observation passes), raw loads and interpreted chase kernels
+    /// from random SMs and cores, each of which replays the log when it
+    /// holds batches, and sometimes a `free_all` — over line-stride rings
+    /// and page-stride rings that reach past the L1 TLB. Then one device
+    /// runs `flush_caches` and the other flushes every instance; the
+    /// hierarchy's state must be the same after every flush.
+    #[test]
+    fn flushing_touched_instances_matches_flushing_every_instance() {
+        use crate::scenario::{hostile_variant, Scenario};
+        use rand::Rng;
+
+        let mig = Scenario::parse("mig:2g.10gb")
+            .unwrap()
+            .apply_config(&presets::a100().config)
+            .unwrap();
+        let configs = [
+            presets::t1000().config,
+            presets::mi300x().config,
+            presets::h100_80().config,
+            mig,
+            presets::b200().config,
+            presets::gb200().config,
+            hostile_variant(presets::rx9070xt()).config,
+            presets::h100_hostile().config,
+        ];
+        let mut seeds = ChaCha8Rng::seed_from_u64(0xf1a5);
+        for cfg in configs {
+            let routes: &[(MemorySpace, LoadFlags)] = match cfg.vendor {
+                Vendor::Nvidia => &NVIDIA_ROUTES,
+                Vendor::Amd => &AMD_ROUTES,
+            };
+            let (sms, cores) = (cfg.chip.num_sms as usize, cfg.chip.cores_per_sm as usize);
+            let page = cfg.tlb.expect("every preset models a TLB").page_bytes;
+            let reach = cfg.tlb.unwrap().l1.entries as u64;
+            // Up to six operations from `seed`, the same on either twin.
+            let operate = |g: &mut Gpu, seed: u64| {
+                let mut f = ChaCha8Rng::seed_from_u64(seed);
+                let mut rings = Vec::new();
+                for _ in 0..f.gen_range(1..=6u32) {
+                    let (space, flags) = routes[f.gen_range(0..routes.len())];
+                    let (sm, core) = (f.gen_range(0..sms), f.gen_range(0..cores));
+                    if rings.is_empty() || f.gen_bool(0.4) {
+                        let (bytes, stride) = if f.gen_bool(0.3) {
+                            (f.gen_range(2..=2 * reach) * page, page)
+                        } else {
+                            (f.gen_range(1..=64u64) << 10, 4 << f.gen_range(0..6u32))
+                        };
+                        let bytes = match space {
+                            MemorySpace::Constant => bytes.min(CONSTANT_ARRAY_LIMIT),
+                            _ => bytes,
+                        };
+                        let buf = g.alloc(space, bytes).unwrap();
+                        let n = g.init_pchase(buf, bytes, stride);
+                        rings.push((g.buffer_base(buf), stride, n, space, flags));
+                    }
+                    let (base, stride, n, space, flags) = rings[f.gen_range(0..rings.len())];
+                    match f.gen_range(0..6u32) {
+                        0..=2 => {
+                            let warm_steps = [n, n, 0, n / 2][f.gen_range(0..4usize)];
+                            let timed_steps = f.gen_range((warm_steps == 0) as u64..=300);
+                            let batch = PchaseBatch {
+                                base,
+                                elem_bytes: stride,
+                                warm_steps,
+                                timed_steps,
+                                space,
+                                flags,
+                            };
+                            g.pchase_batch(sm, core, &batch, 64);
+                        }
+                        3 => {
+                            for _ in 0..f.gen_range(1..=8u32) {
+                                let addr = base + f.gen_range(0..n) * stride;
+                                g.raw_load(f.gen_range(0..sms), core, space, flags, addr);
+                            }
+                        }
+                        4 => {
+                            let kernel = KernelBuilder::pchase_kernel(
+                                g.vendor(),
+                                base,
+                                stride,
+                                n,
+                                f.gen_range(1..=64u64),
+                                space,
+                                flags,
+                                f.gen_bool(0.5),
+                            );
+                            g.launch(sm, core, &kernel, 64);
+                        }
+                        _ => {
+                            g.free_all();
+                            rings.clear();
+                        }
+                    }
+                }
+            };
+            let mut touched_only = Gpu::with_seed(cfg.clone(), 3);
+            let mut every = Gpu::with_seed(cfg.clone(), 3);
+            for round in 0..40 {
+                let seed: u64 = seeds.gen();
+                for g in [&mut touched_only, &mut every] {
+                    g.free_all();
+                    operate(g, seed);
+                }
+                touched_only.flush_caches();
+                every.mem.flush_every_instance();
+                assert_eq!(
+                    touched_only.mem.state(),
+                    every.mem.state(),
+                    "{} round {round}",
+                    cfg.name
+                );
+            }
+            assert!(touched_only.mem.replayed > 0, "{}: no replay", cfg.name);
+        }
     }
 }

@@ -62,6 +62,9 @@ struct Level {
     kind: CacheKind,
     /// Planted end-to-end latency of a hit at this level.
     latency: u32,
+    /// Flush-tracking id of instance 0 (see [`MemorySubsystem::touched`]);
+    /// instance `i` is `first + i`.
+    first: usize,
     /// The level's instances. A Texture or Readonly level unified with L1
     /// has none: its loads hit the L1 instance, at this level's latency.
     caches: Vec<SectoredCache>,
@@ -92,6 +95,16 @@ pub(crate) struct Route {
     translates: bool,
     /// Resolution when every step misses (or for scratchpad loads).
     terminal: LoadResolution,
+}
+
+/// A route [`MemorySubsystem::mark`] has marked for the next flush, with
+/// the SM it was resolved for. Only `mark` makes one, and
+/// [`MemorySubsystem::load_via`] walks nothing else, so no walk skips the
+/// mark that keeps the touched-only flush exact. A mark lasts until the
+/// next flush.
+pub(crate) struct Marked<'r> {
+    route: &'r Route,
+    sm: usize,
 }
 
 /// One entry of the lap log: a p-chase batch charged in closed form and
@@ -207,6 +220,16 @@ pub struct MemorySubsystem {
     l1_tlb: Vec<Tlb>,
     l2_tlb: Option<Tlb>,
 
+    /// The instances walked since the last flush, one bit per id: the
+    /// caches level by level from 0 (see [`Level::first`]), then SM `s`'s
+    /// L1 TLB at `tlb_first + s` and the L2 TLB at `tlb_first + num_sms`.
+    /// [`Self::mark`] sets a route's bits once per batch or route, and
+    /// [`Self::flush_all`] flushes only these instances. Empty until the
+    /// first mark.
+    touched: Vec<u64>,
+    /// Id of SM 0's L1 TLB: the number of cache instances.
+    tlb_first: usize,
+
     /// The lap log: every batch charged in closed form since the last
     /// flush, in order, that no walked load has needed yet. Walking them
     /// would leave the caches and TLBs as the eager walk did.
@@ -220,6 +243,10 @@ pub struct MemorySubsystem {
     /// Test switch: take no lap in closed form, walk every load.
     #[cfg(test)]
     pub(crate) eager: bool,
+    /// Logged batches replayed since construction, for tests that must
+    /// cover replays.
+    #[cfg(test)]
+    pub(crate) replayed: u64,
 }
 
 impl MemorySubsystem {
@@ -267,6 +294,7 @@ impl MemorySubsystem {
             (CacheKind::L2, l2_segments),
             (CacheKind::L3, 1),
         ];
+        let mut next_id = 0;
         let levels = instances
             .into_iter()
             .filter_map(|(kind, count)| {
@@ -275,9 +303,12 @@ impl MemorySubsystem {
                 // replacement policy (exact LRU unless the preset plants
                 // another).
                 let policy = config.policy_of(kind);
+                let first = next_id;
+                next_id += count;
                 Some(Level {
                     kind,
                     latency: spec.load_latency,
+                    first,
                     caches: (0..count)
                         .map(|_| SectoredCache::from_spec_with_policy(spec, policy))
                         .collect(),
@@ -313,11 +344,15 @@ impl MemorySubsystem {
             tlb_memo: NO_TLB_MEMO,
             l1_tlb,
             l2_tlb,
+            touched: Vec::new(),
+            tlb_first: next_id,
             log: Vec::new(),
             open: true,
             walked: 0,
             #[cfg(test)]
             eager: false,
+            #[cfg(test)]
+            replayed: 0,
         }
     }
 
@@ -352,16 +387,61 @@ impl MemorySubsystem {
 
     /// Invalidates every cache and TLB on the device, and drops the lap
     /// log unwalked: the flush would have erased what it left.
+    ///
+    /// Only the instances walked since the last flush are flushed. That
+    /// is exact: an instance changes only when a load walks it, every
+    /// walk marks its route first, and flushing an instance that is
+    /// already flushed changes nothing.
     pub fn flush_all(&mut self) {
         self.open = true;
         self.log.clear();
         self.tlb_memo = NO_TLB_MEMO;
-        for cache in self.levels.iter_mut().flat_map(|l| &mut l.caches) {
-            cache.flush();
+        for word in 0..self.touched.len() {
+            let mut bits = std::mem::take(&mut self.touched[word]);
+            while bits != 0 {
+                self.flush_instance(word * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
         }
-        for tlb in self.l1_tlb.iter_mut().chain(self.l2_tlb.as_mut()) {
+    }
+
+    /// Flushes the cache or TLB with flush-tracking id `id`.
+    fn flush_instance(&mut self, id: usize) {
+        if id < self.tlb_first {
+            let level = self
+                .levels
+                .iter_mut()
+                .find(|l| id < l.first + l.caches.len())
+                .expect("a cache id names an instance");
+            level.caches[id - level.first].flush();
+        } else if let Some(tlb) = self.l1_tlb.get_mut(id - self.tlb_first) {
+            tlb.flush();
+        } else if let Some(tlb) = &mut self.l2_tlb {
             tlb.flush();
         }
+    }
+
+    /// Marks the instances walking `route` from `sm` touches for the next
+    /// flush: the route's caches and, when it translates, `sm`'s L1 TLB
+    /// and the L2 TLB. Returns the route to walk them with: [`Self::load`]
+    /// marks per load, the lap-log replay per logged batch, and
+    /// `Gpu::pchase_batch` per walked batch.
+    #[inline]
+    pub(crate) fn mark<'r>(&mut self, route: &'r Route, sm: usize) -> Marked<'r> {
+        if self.touched.is_empty() {
+            let ids = self.tlb_first + self.num_sms + 1;
+            self.touched = vec![0; ids.div_ceil(64)];
+        }
+        let touched = &mut self.touched;
+        let mut set = |id: usize| touched[id / 64] |= 1 << (id % 64);
+        for step in route.steps.iter().flatten() {
+            set(self.levels[step.level].first + step.instance);
+        }
+        if route.translates && self.tlb_spec.is_some() {
+            set(self.tlb_first + sm);
+            set(self.tlb_first + self.num_sms);
+        }
+        Marked { route, sm }
     }
 
     /// Notes that every buffer was freed. `alloc` hands the same
@@ -432,19 +512,21 @@ impl MemorySubsystem {
         addr: u64,
     ) -> LoadResolution {
         let route = self.route(sm, core, space, flags);
-        self.load_via(&route, sm, addr)
+        let via = self.mark(&route, sm);
+        self.load_via(&via, addr)
     }
 
-    /// Walks `route` for one load of `addr` issued from `sm`, which must
-    /// be the SM the route was resolved for. The lap log is replayed
-    /// first, so the load sees the state walking it would have left.
+    /// Walks a marked route for one load of `addr` issued from its SM.
+    /// The lap log is replayed first, so the load sees the state walking
+    /// it would have left.
     ///
     /// The address translates first, when the route does; the walk
     /// penalty rides on top of whatever level services the load. A hit
     /// at level *n* only ever touches levels `1..=n`: deeper levels are
     /// not consulted and do not allocate.
     #[inline]
-    pub(crate) fn load_via(&mut self, route: &Route, sm: usize, addr: u64) -> LoadResolution {
+    pub(crate) fn load_via(&mut self, via: &Marked<'_>, addr: u64) -> LoadResolution {
+        let Marked { route, sm } = *via;
         if !self.log.is_empty() {
             self.replay();
         }
@@ -645,9 +727,14 @@ impl MemorySubsystem {
     #[cold]
     fn replay(&mut self) {
         for batch in std::mem::take(&mut self.log) {
+            #[cfg(test)]
+            {
+                self.replayed += 1;
+            }
+            let via = self.mark(&batch.route, batch.sm);
             let mut addr = batch.ring.base;
             for _ in 0..batch.warm + batch.timed {
-                self.load_via(&batch.route, batch.sm, addr);
+                self.load_via(&via, addr);
                 addr = batch.ring.next(addr);
             }
         }
@@ -665,6 +752,22 @@ impl MemorySubsystem {
             "{:?} {:?} {:?} {:?}",
             self.levels, self.l1_tlb, self.l2_tlb, self.tlb_memo
         )
+    }
+
+    /// [`Self::flush_all`] with every instance flushed, touched or not:
+    /// the reference the touched-only flush is tested against.
+    #[cfg(test)]
+    pub(crate) fn flush_every_instance(&mut self) {
+        self.open = true;
+        self.log.clear();
+        self.tlb_memo = NO_TLB_MEMO;
+        self.touched.fill(0);
+        for cache in self.levels.iter_mut().flat_map(|l| &mut l.caches) {
+            cache.flush();
+        }
+        for tlb in self.l1_tlb.iter_mut().chain(self.l2_tlb.as_mut()) {
+            tlb.flush();
+        }
     }
 
     /// The most lines one instance of the `kind` level holds.

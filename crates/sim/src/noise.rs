@@ -91,6 +91,15 @@ impl NoiseModel {
         NoiseDraw { jitter, outlier }
     }
 
+    /// Fills `out` with consecutive draws: what `out.len()` calls of
+    /// [`Self::draw`] return, leaving the RNG where they would. The
+    /// simulator draws a timed pass's noise this way, before its loads.
+    pub fn draw_into(&self, rng: &mut ChaCha8Rng, out: &mut [NoiseDraw]) {
+        for d in out {
+            *d = self.draw(rng);
+        }
+    }
+
     /// Applies a pre-drawn sample to `base`. The additions replay the
     /// historical op order exactly — `(base + jitter) + outlier` — and a
     /// disabled term contributes `+ 0.0`, which is exact for every value
@@ -198,9 +207,13 @@ mod tests {
         // bases afterwards must produce the same latencies AND leave the
         // RNG at the same position as interleaved per-element sample()
         // calls — the invariant that lets a caller draw ahead of its loads.
+        // The same holds for `draw_into` in chunks of 1, 255, 256 and 257
+        // draws (as `pchase_batch` draws a pass, in chunks of 256), with
+        // the RNG state checked after every chunk.
         for model in [NoiseModel::DEFAULT, NoiseModel::HOSTILE, NoiseModel::NONE] {
             let mut per_elem = ChaCha8Rng::seed_from_u64(7);
             let mut batched = ChaCha8Rng::seed_from_u64(7);
+            let mut bulk = ChaCha8Rng::seed_from_u64(7);
             let bases: Vec<u32> = (0..4096u32).map(|i| 1 + (i * 37) % 900).collect();
 
             let expected: Vec<u32> = bases
@@ -217,6 +230,25 @@ mod tests {
                 .collect();
 
             assert_eq!(expected, got);
+
+            let mut stepped = ChaCha8Rng::seed_from_u64(7);
+            let mut chunk = [NoiseDraw::default(); 257];
+            let mut bulk_got = Vec::with_capacity(bases.len());
+            for len in [1usize, 255, 256, 257].into_iter().cycle() {
+                let len = len.min(bases.len() - bulk_got.len());
+                model.draw_into(&mut bulk, &mut chunk[..len]);
+                for _ in 0..len {
+                    model.draw(&mut stepped);
+                }
+                assert_eq!(bulk, stepped, "RNG state after a chunk of {len}");
+                let at = bulk_got.len();
+                bulk_got.extend((at..at + len).map(|i| model.apply(bases[i], chunk[i - at])));
+                if bulk_got.len() == bases.len() {
+                    break;
+                }
+            }
+            assert_eq!(expected, bulk_got, "{model:?}");
+            assert_eq!(per_elem, bulk, "RNG state after the bulk draws");
             // Same stream position afterwards: the next draw agrees.
             assert_eq!(
                 model.sample(&mut per_elem, 123),

@@ -5,7 +5,7 @@
 //! lookup. The simulator models the two-level TLB hierarchy real GPUs
 //! ship: a small per-SM/CU L1 TLB backed by one GPU-level L2 TLB. Both
 //! are LRU within `associativity`-way sets (fully associative when the
-//! way count covers all entries), exactly like the data caches.
+//! way count covers all entries), and run on the data caches' store.
 //!
 //! # What a miss costs — and why first touches are free
 //!
@@ -26,7 +26,11 @@
 //! their measured latencies are untouched by the TLB layer. Only a page
 //! that was *resident and got evicted* charges the walk on re-access.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
+
+use crate::cache::SectoredCache;
 
 /// Ground truth of one TLB level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -112,55 +116,60 @@ pub(crate) enum TlbAccess {
     ReMiss,
 }
 
-/// One runtime TLB level: set-indexed recency lists plus the set of pages
-/// ever installed (for the free-first-touch rule). A chase's repeat
-/// translations of one page from one SM never get here: the memory
-/// subsystem's `(sm, page)` memo answers them.
+/// One runtime TLB level: an exact-LRU [`SectoredCache`] keyed by page
+/// number (1-byte lines, so a page is a line), plus the pages installed
+/// since the last flush, for the free-first-touch rule. Every preset's
+/// level is fully associative and runs on the store's exact-LRU arm; a
+/// set-associative geometry (only tests build one) runs on the per-set
+/// reference store. Both parts are built at the level's first access,
+/// behind one box, so a level no load reaches — most of a device's
+/// per-SM L1 TLBs — allocates nothing. A chase's repeat translations of
+/// one page from one SM never get here: the memory subsystem's
+/// `(sm, page)` memo answers them.
 #[derive(Debug)]
 pub(crate) struct Tlb {
-    ways: usize,
-    num_sets: usize,
-    /// Per-set recency order, least-recent first. Sets are short (≤ ways
-    /// entries), so the LRU update is a small rotate.
-    sets: Vec<Vec<u64>>,
-    /// Pages ever installed since the last flush. A `BTreeSet` (not a
-    /// hash set) keeps the container deterministic by construction —
-    /// membership is all the free-first-touch rule needs, and the
-    /// workspace's `clippy.toml` bans std hash containers.
-    seen: std::collections::BTreeSet<u64>,
+    entries: u32,
+    associativity: u32,
+    store: Option<Box<TlbStore>>,
+}
+
+/// The state of a [`Tlb`] that has been accessed.
+#[derive(Debug)]
+struct TlbStore {
+    /// Resident translations, one 1-byte line per page.
+    resident: SectoredCache,
+    /// Pages installed since the last flush, one bit per page in
+    /// 64-page groups: a lookup scans nothing, no page allocates a node
+    /// of its own, and the map's size is bounded by the groups seen.
+    seen: BTreeMap<u64, u64>,
 }
 
 impl Tlb {
     pub(crate) fn new(spec: &TlbLevelSpec) -> Tlb {
-        let entries = spec.entries.max(1) as usize;
-        let ways = spec.associativity.clamp(1, entries as u32) as usize;
-        // Shrink the way count to a divisor of the entry count, like the
-        // data-cache constructor does.
-        let mut ways = ways;
-        while !entries.is_multiple_of(ways) {
-            ways -= 1;
-        }
         Tlb {
-            ways,
-            num_sets: entries / ways,
-            sets: vec![Vec::new(); entries / ways],
-            seen: std::collections::BTreeSet::new(),
+            entries: spec.entries.max(1),
+            associativity: spec.associativity,
+            store: None,
         }
     }
 
     /// Looks a page up, updating recency and installing it on a miss.
+    #[inline]
     pub(crate) fn access(&mut self, page: u64) -> TlbAccess {
-        let set = &mut self.sets[(page % self.num_sets as u64) as usize];
-        if let Some(pos) = set.iter().position(|&p| p == page) {
-            set.remove(pos);
-            set.push(page);
+        let store = self.store.get_or_insert_with(|| {
+            Box::new(TlbStore {
+                resident: SectoredCache::new(u64::from(self.entries), 1, 1, self.associativity),
+                seen: BTreeMap::new(),
+            })
+        });
+        if store.resident.access(page).is_hit() {
             return TlbAccess::Hit;
         }
-        if set.len() == self.ways {
-            set.remove(0); // least-recent way
-        }
-        set.push(page);
-        if self.seen.insert(page) {
+        let group = store.seen.entry(page >> 6).or_default();
+        let bit = 1 << (page & 63);
+        let first = *group & bit == 0;
+        *group |= bit;
+        if first {
             TlbAccess::FirstTouch
         } else {
             TlbAccess::ReMiss
@@ -171,17 +180,18 @@ impl Tlb {
     /// translations at once, so a ring over that many pages stays
     /// resident under LRU.
     pub(crate) fn holds(&self, pages: u64) -> bool {
-        self.num_sets == 1 && pages <= self.ways as u64
+        self.associativity >= self.entries && pages <= u64::from(self.entries)
     }
 
     /// Drops all translations *and* the first-touch history — a flush
     /// marks a benchmark boundary (freed buffers invalidate their
-    /// translations on real drivers too).
+    /// translations on real drivers too). A level never accessed holds
+    /// nothing to drop.
     pub(crate) fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
+        if let Some(store) = &mut self.store {
+            store.resident.flush();
+            store.seen.clear();
         }
-        self.seen.clear();
     }
 }
 
@@ -260,6 +270,21 @@ mod tests {
         assert_eq!(t.access(1), TlbAccess::FirstTouch); // set 1, untouched
         assert_eq!(t.access(0), TlbAccess::ReMiss);
         assert_eq!(t.access(1), TlbAccess::Hit);
+    }
+
+    /// A TLB no load reaches allocates nothing, a flush before its first
+    /// access leaves it so, and it is no larger than the `Vec`-per-set
+    /// LRU with a `BTreeSet` history it replaced (two `usize`s, a `Vec`
+    /// and a `BTreeSet`: 64 bytes on 64-bit hosts).
+    #[test]
+    fn an_untouched_tlb_allocates_nothing_and_stays_small() {
+        assert!(std::mem::size_of::<Tlb>() <= 64);
+        let mut t = tlb(16);
+        t.flush();
+        assert!(t.store.is_none(), "a flush builds nothing");
+        assert!(t.holds(16) && !t.holds(17), "reach is known unbuilt");
+        assert_eq!(t.access(3), TlbAccess::FirstTouch);
+        assert!(t.store.is_some());
     }
 
     #[test]

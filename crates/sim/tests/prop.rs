@@ -403,48 +403,47 @@ proptest! {
 // --- the translation shortcuts vs. a naive two-level TLB model ---
 
 use mt4g_sim::hierarchy::MemorySubsystem;
-use mt4g_sim::tlb::TlbSpec;
+use mt4g_sim::tlb::{TlbLevelSpec, TlbSpec};
 use std::collections::BTreeSet;
 
-/// Page size of the small test TLB: 4-entry L1 TLBs behind an 8-entry
-/// L2 TLB, as in the hierarchy's own TLB unit tests.
+/// Page size of the small test TLBs: 4-entry L1 TLBs behind an 8-entry
+/// L2 TLB, as in the hierarchy's own TLB unit tests, fully associative
+/// or set-associative.
 const TLB_PAGE: u64 = 65536;
-const TLB_SPEC: TlbSpec = TlbSpec::fully_associative(TLB_PAGE, 4, 50, 8, 400);
 
-/// The naive translation model: a per-SM L1 TLB LRU list, one shared L2
-/// TLB LRU list (most recent last), and the pages each has installed
-/// since the last flush. A load's walk penalty follows the free
-/// first-touch rule: an L1 hit costs nothing; an L1 miss consults the
-/// L2 TLB; a page this SM never installed is free; a re-miss pays the
-/// L1 penalty when the L2 TLB holds the page and the full walk when it
-/// does not.
-struct NaiveTlb {
-    l1: Vec<Vec<u64>>,
-    l1_seen: Vec<BTreeSet<u64>>,
-    l2: Vec<u64>,
-    l2_seen: BTreeSet<u64>,
+/// One naive TLB level: an LRU list per set (most recent last) of
+/// `ways` entries, a page's set being its number modulo the set count.
+/// The way count shrinks to the largest divisor of the entry count, as
+/// the data caches' constructor shrinks it.
+struct NaiveLevel {
+    ways: usize,
+    sets: Vec<Vec<u64>>,
 }
 
-impl NaiveTlb {
-    fn new(sms: usize) -> NaiveTlb {
-        NaiveTlb {
-            l1: vec![Vec::new(); sms],
-            l1_seen: vec![BTreeSet::new(); sms],
-            l2: Vec::new(),
-            l2_seen: BTreeSet::new(),
+impl NaiveLevel {
+    fn new(spec: &TlbLevelSpec) -> NaiveLevel {
+        let entries = spec.entries as usize;
+        let ways = (1..=(spec.associativity as usize).min(entries))
+            .rev()
+            .find(|&w| entries.is_multiple_of(w))
+            .unwrap();
+        NaiveLevel {
+            ways,
+            sets: vec![Vec::new(); entries / ways],
         }
     }
 
-    /// Touches `page` in an LRU list of `capacity` entries; returns
-    /// whether it was resident.
-    fn touch(list: &mut Vec<u64>, capacity: u32, page: u64) -> bool {
+    /// Touches `page`; returns whether it was resident.
+    fn touch(&mut self, page: u64) -> bool {
+        let sets = self.sets.len() as u64;
+        let list = &mut self.sets[(page % sets) as usize];
         let resident = match list.iter().position(|&p| p == page) {
             Some(pos) => {
                 list.remove(pos);
                 true
             }
             None => {
-                if list.len() == capacity as usize {
+                if list.len() == self.ways {
                     list.remove(0);
                 }
                 false
@@ -453,19 +452,45 @@ impl NaiveTlb {
         list.push(page);
         resident
     }
+}
+
+/// The naive translation model: a per-SM L1 TLB, one shared L2 TLB,
+/// and the pages each has installed since the last flush. A load's walk
+/// penalty follows the free first-touch rule: an L1 hit costs nothing;
+/// an L1 miss consults the L2 TLB; a page this SM never installed is
+/// free; a re-miss pays the L1 penalty when the L2 TLB holds the page
+/// and the full walk when it does not.
+struct NaiveTlb {
+    spec: TlbSpec,
+    l1: Vec<NaiveLevel>,
+    l1_seen: Vec<BTreeSet<u64>>,
+    l2: NaiveLevel,
+    l2_seen: BTreeSet<u64>,
+}
+
+impl NaiveTlb {
+    fn new(spec: TlbSpec, sms: usize) -> NaiveTlb {
+        NaiveTlb {
+            spec,
+            l1: (0..sms).map(|_| NaiveLevel::new(&spec.l1)).collect(),
+            l1_seen: vec![BTreeSet::new(); sms],
+            l2: NaiveLevel::new(&spec.l2),
+            l2_seen: BTreeSet::new(),
+        }
+    }
 
     fn penalty(&mut self, sm: usize, page: u64) -> u32 {
-        if Self::touch(&mut self.l1[sm], TLB_SPEC.l1.entries, page) {
+        if self.l1[sm].touch(page) {
             return 0;
         }
-        let l2_hit = Self::touch(&mut self.l2, TLB_SPEC.l2.entries, page);
+        let l2_hit = self.l2.touch(page);
         let l2_first = self.l2_seen.insert(page);
         if self.l1_seen[sm].insert(page) {
             return 0;
         }
         match (l2_hit, l2_first) {
-            (true, _) => TLB_SPEC.l1.miss_penalty_cycles,
-            (false, false) => TLB_SPEC.l2.miss_penalty_cycles,
+            (true, _) => self.spec.l1.miss_penalty_cycles,
+            (false, false) => self.spec.l2.miss_penalty_cycles,
             (false, true) => 0,
         }
     }
@@ -477,28 +502,38 @@ proptest! {
     /// The subsystem's translation shortcuts change no walk penalty:
     /// streams of `.cg` loads on T1000 — runs of repeats on one page,
     /// SMs interleaved over a page set larger than both TLB reaches, and
-    /// whole-hierarchy flushes — pay exactly the naive model's penalty
-    /// on every load. The penalty is the load's latency minus the
-    /// planted latency of the level that serviced it. A shortcut keyed
-    /// on the page alone lets one SM's repeat skip another SM's TLB and
-    /// fails here.
+    /// whole-hierarchy flushes, the first before any load, so that some
+    /// TLBs are flushed before their first access — pay exactly the
+    /// naive model's penalty on every load. The TLB levels are fully
+    /// associative (the fully-associative store) or split into sets (the
+    /// per-set store), with a way count that must shrink to a divisor
+    /// among them. The penalty is the load's latency minus the planted
+    /// latency of the level that serviced it. A shortcut keyed on the
+    /// page alone lets one SM's repeat skip another SM's TLB and fails
+    /// here.
     #[test]
     fn translation_shortcuts_match_a_naive_two_level_tlb(
+        l1_pick in 0usize..3,
+        l2_pick in 0usize..4,
         ops in proptest::collection::vec((0u8..24, 0usize..3, 0u64..12, 1u64..5), 1..300),
     ) {
+        let mut spec = TlbSpec::fully_associative(TLB_PAGE, 4, 50, 8, 400);
+        spec.l1.associativity = [4, 2, 1][l1_pick];
+        spec.l2.associativity = [8, 4, 3, 1][l2_pick];
         let mut cfg = presets::t1000().config;
-        cfg.tlb = Some(TLB_SPEC);
+        cfg.tlb = Some(spec);
         let planted = |level: CacheKind| match level {
             CacheKind::L2 => cfg.cache(CacheKind::L2).unwrap().load_latency,
             CacheKind::DeviceMemory => cfg.dram.load_latency,
             other => panic!("a .cg load serviced by {other:?}"),
         };
         let mut mem = MemorySubsystem::new(&cfg);
-        let mut naive = NaiveTlb::new(3);
+        mem.flush_all();
+        let mut naive = NaiveTlb::new(spec, 3);
         for (i, &(pick, sm, page, repeats)) in ops.iter().enumerate() {
             if pick == 0 {
                 mem.flush_all();
-                naive = NaiveTlb::new(3);
+                naive = NaiveTlb::new(spec, 3);
                 continue;
             }
             for r in 0..repeats {
