@@ -43,11 +43,6 @@ pub fn discover(gpu: &mut Gpu) -> Report {
     report
 }
 
-/// Prints a horizontal rule sized for the paper-style tables.
-pub fn rule(width: usize) {
-    println!("{}", "-".repeat(width));
-}
-
 /// Formats an optional f64 with a dash fallback.
 pub fn opt_f64(v: Option<f64>, digits: usize) -> String {
     v.map(|x| format!("{x:.digits$}"))

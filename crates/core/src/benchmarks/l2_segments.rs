@@ -30,6 +30,9 @@ pub struct L2Segments {
     pub confidence: f64,
     /// The raw measured segment size before alignment (NVIDIA only).
     pub measured_bytes: Option<u64>,
+    /// The segment search's boundary-confirmation probes (NVIDIA only;
+    /// see [`SizeResult::Found`]).
+    pub probes: Vec<(u64, Option<bool>)>,
 }
 
 /// Runs the L2 segment benchmark.
@@ -50,6 +53,7 @@ pub fn run(gpu: &mut Gpu, fetch_granularity: u64, scan_points: usize) -> Option<
                 count,
                 confidence: 1.0,
                 measured_bytes: None,
+                probes: Vec::new(),
             })
         }
         Vendor::Nvidia => {
@@ -65,7 +69,10 @@ pub fn run(gpu: &mut Gpu, fetch_granularity: u64, scan_points: usize) -> Option<
             };
             match size::run(gpu, &cfg) {
                 SizeResult::Found {
-                    bytes, confidence, ..
+                    bytes,
+                    confidence,
+                    probes,
+                    ..
                 } => {
                     // Align to the nearest integer fraction of the API
                     // total; the distance is folded into the confidence.
@@ -77,6 +84,7 @@ pub fn run(gpu: &mut Gpu, fetch_granularity: u64, scan_points: usize) -> Option<
                         count,
                         confidence: (confidence * alignment).clamp(0.0, 1.0),
                         measured_bytes: Some(bytes),
+                        probes,
                     })
                 }
                 _ => None,

@@ -30,13 +30,17 @@
 //!    beyond the noise floor convicts the seeded-random victim stream
 //!    (which deliberately survives flushes, like a real device's). A
 //!    stable vector is then matched by Hamming distance against the
-//!    replay predictions of [`PolicyReferenceCache`] oracles — one per
-//!    candidate policy, fed the *identical* load sequence including the
-//!    probe phase's own perturbation. No candidate close enough, or two
-//!    candidates too close to separate, is an honest no-result.
+//!    replay predictions of fully-associative [`SectoredCache`]s — one
+//!    per candidate policy, fed the *identical* load sequence including
+//!    the probe phase's own perturbation. (That store is the simulator's
+//!    own; the property tests pin it access for access to the naive
+//!    per-policy oracle, [`PolicyReferenceCache`].) No candidate close
+//!    enough, or two candidates too close to separate, is an honest
+//!    no-result.
+//!
+//! [`PolicyReferenceCache`]: mt4g_sim::cache::reference::PolicyReferenceCache
 
-use mt4g_sim::cache::reference::PolicyReferenceCache;
-use mt4g_sim::cache::{Access, ReplacementPolicy};
+use mt4g_sim::cache::{Access, ReplacementPolicy, SectoredCache, FULLY_ASSOCIATIVE};
 use mt4g_sim::device::{LoadFlags, MemorySpace, Vendor};
 use mt4g_sim::gpu::Gpu;
 
@@ -173,23 +177,24 @@ fn run_trial(
         .collect()
 }
 
-/// Replays the trial sequence through a fresh reference cache of
+/// Replays the trial sequence through a fresh fully-associative cache of
 /// `candidate` and returns its predicted probe vector. The probe phase is
 /// replayed too — a probe miss refills the line and evicts another, and
 /// the prediction must track that perturbation.
 fn predict(candidate: ReplacementPolicy, n: u64, k: u64, line: u64) -> Vec<bool> {
-    let mut oracle = PolicyReferenceCache::new(n * line, line, line, u32::MAX, candidate);
+    let mut cache =
+        SectoredCache::new_with_policy(n * line, line, line, FULLY_ASSOCIATIVE, candidate);
     for i in 0..n {
-        oracle.access(i * line);
+        cache.access(i * line);
     }
     for i in 0..n / 2 {
-        oracle.access(i * line);
+        cache.access(i * line);
     }
     for i in n..n + k {
-        oracle.access(i * line);
+        cache.access(i * line);
     }
     (0..n + k)
-        .map(|i| matches!(oracle.access(i * line), Access::Hit))
+        .map(|i| matches!(cache.access(i * line), Access::Hit))
         .collect()
 }
 

@@ -103,38 +103,18 @@ fn cus_share(
     classifier.verdict(&lats) == RunVerdict::Misses
 }
 
-/// Runs the full pairwise CU-sharing discovery.
-pub fn run(gpu: &mut Gpu, cfg: &CuSharingConfig) -> CuSharingResult {
+/// Runs the CU-sharing discovery over every pair of CUs at most `window`
+/// logical ids apart. Sharing groups are physically adjacent, so a window
+/// finds the same groups in O(n·window) pairs instead of O(n²); a window
+/// of 0 tests every pair, the paper's no-assumptions mode.
+pub fn run(gpu: &mut Gpu, cfg: &CuSharingConfig, window: usize) -> CuSharingResult {
     if !cfg.can_pin_cus {
         return CuSharingResult::NoResult {
             reason: "virtualised environment: thread blocks cannot be pinned to CU ids".into(),
         };
     }
     let n = gpu.config.chip.num_sms as usize;
-    let overhead = calibrate_overhead(gpu);
-    let mut partners: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for a in 0..n {
-        for b in (a + 1)..n {
-            if cus_share(gpu, cfg, a, b, overhead) {
-                partners[a].push(b as u32);
-                partners[b].push(a as u32);
-            }
-        }
-    }
-    CuSharingResult::Found { partners }
-}
-
-/// Like [`run`] but only testing pairs within a window of `span` logical
-/// ids — sharing groups are physically adjacent, so a windowed scan finds
-/// identical groups in O(n·span) instead of O(n²). The suite uses this;
-/// the exhaustive version validates it in tests.
-pub fn run_windowed(gpu: &mut Gpu, cfg: &CuSharingConfig, span: usize) -> CuSharingResult {
-    if !cfg.can_pin_cus {
-        return CuSharingResult::NoResult {
-            reason: "virtualised environment: thread blocks cannot be pinned to CU ids".into(),
-        };
-    }
-    let n = gpu.config.chip.num_sms as usize;
+    let span = if window == 0 { n } else { window };
     let overhead = calibrate_overhead(gpu);
     let mut partners: Vec<Vec<u32>> = vec![Vec::new(); n];
     for a in 0..n {
@@ -165,13 +145,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mi210_windowed_matches_ground_truth_layout() {
+    /// A scan of MI210 over `window` gives the planted partner lists, and
+    /// both situations the paper describes occur: shared and exclusive
+    /// sL1d access.
+    fn assert_mi210_layout_found(window: usize) {
         let mut gpu = presets::mi210();
         let cfg = mi210_cfg(&gpu);
         let layout = gpu.config.cu_layout.clone().unwrap();
-        let CuSharingResult::Found { partners } = run_windowed(&mut gpu, &cfg, 4) else {
-            panic!("windowed run failed");
+        let CuSharingResult::Found { partners } = run(&mut gpu, &cfg, window) else {
+            panic!("window {window}: scan failed");
         };
         for (cu, found) in partners.iter().enumerate() {
             let truth: Vec<u32> = layout
@@ -179,12 +161,22 @@ mod tests {
                 .into_iter()
                 .map(|x| x as u32)
                 .collect();
-            assert_eq!(found, &truth, "CU {cu}");
+            assert_eq!(found, &truth, "window {window}: CU {cu}");
         }
-        // Both situations the paper describes must occur: shared and
-        // exclusive sL1d access.
         assert!(partners.iter().any(|p| !p.is_empty()));
         assert!(partners.iter().any(|p| p.is_empty()));
+    }
+
+    #[test]
+    fn mi210_windowed_matches_ground_truth_layout() {
+        assert_mi210_layout_found(4);
+    }
+
+    /// Window 0 tests all 5 356 pairs of MI210's 104 CUs (the thorough
+    /// configuration's scan).
+    #[test]
+    fn mi210_exhaustive_scan_matches_ground_truth_layout() {
+        assert_mi210_layout_found(0);
     }
 
     /// The windowed scan's CU pairs are prime/probe sequences through the
@@ -195,7 +187,7 @@ mod tests {
     fn mi210_windowed_sharing_walks_no_loads() {
         let mut gpu = presets::mi210();
         let cfg = mi210_cfg(&gpu);
-        run_windowed(&mut gpu, &cfg, 4);
+        run(&mut gpu, &cfg, 4);
         assert_eq!(gpu.walked_loads(), 0);
         assert_eq!(
             gpu.stats(),
@@ -231,7 +223,7 @@ mod tests {
             can_pin_cus: !gpu.config.quirks.no_cu_pinning,
             ..mi210_cfg(&gpu)
         };
-        let r = run(&mut gpu, &cfg);
+        let r = run(&mut gpu, &cfg, 0);
         assert!(matches!(r, CuSharingResult::NoResult { .. }));
     }
 
@@ -246,7 +238,7 @@ mod tests {
             can_pin_cus: true,
         };
         let layout = gpu.config.cu_layout.clone().unwrap();
-        let CuSharingResult::Found { partners } = run_windowed(&mut gpu, &cfg, 5) else {
+        let CuSharingResult::Found { partners } = run(&mut gpu, &cfg, 5) else {
             panic!("windowed run failed");
         };
         // CDNA1 groups of three: some CU must report two partners.

@@ -42,11 +42,6 @@ pub struct SizeConfig {
     pub scan_points: usize,
     /// K-S significance level.
     pub alpha: f64,
-    /// Trace the boundary-confirmation walk to stderr. Threaded from
-    /// `DiscoveryConfig::debug` (CLI `--debug`) — a real config knob
-    /// instead of the old ad-hoc `MT4G_DEBUG` environment sniffing, so
-    /// tests can exercise both paths and the flag is documented.
-    pub debug: bool,
 }
 
 impl SizeConfig {
@@ -62,7 +57,6 @@ impl SizeConfig {
             record_n: 256,
             scan_points: 24,
             alpha: 0.05,
-            debug: false,
         }
     }
 }
@@ -92,6 +86,10 @@ pub enum SizeResult {
         confidence: f64,
         /// The final (finest) scan, for plotting.
         scan: SizeScan,
+        /// The boundary confirmation's probes, `(array bytes, fits)` in
+        /// the order they ran (`fits` is `None` where a measurement
+        /// failed) — the trace `mt4g --debug` prints.
+        probes: Vec<(u64, Option<bool>)>,
     },
     /// No distribution change up to the testing cap — the cache is at
     /// least `cap` bytes (the Constant-L1.5 situation; confidence 0).
@@ -267,17 +265,19 @@ pub fn run(gpu: &mut Gpu, cfg: &SizeConfig) -> SizeResult {
                     // measurement failure) the CPD boundary is kept — never
                     // a drifted, unconfirmed walk position — and reported
                     // at half the K-S significance.
-                    let (bytes, confidence) =
-                        match confirm_boundary(gpu, cfg, &reference, boundary_lo, fg, overhead) {
-                            Some(confirmed) => (confirmed, cp.confidence),
-                            None => (boundary_lo, cp.confidence * 0.5),
-                        };
+                    let (confirmed, probes) =
+                        confirm_boundary(gpu, cfg, &reference, boundary_lo, fg, overhead);
+                    let (bytes, confidence) = match confirmed {
+                        Some(confirmed) => (confirmed, cp.confidence),
+                        None => (boundary_lo, cp.confidence * 0.5),
+                    };
                     let mut final_scan = scan;
                     final_scan.change_index = Some(cp.index);
                     return SizeResult::Found {
                         bytes,
                         confidence,
                         scan: final_scan,
+                        probes,
                     };
                 }
                 // Refine around the boundary with generous margins so the
@@ -308,8 +308,9 @@ pub fn run(gpu: &mut Gpu, cfg: &SizeConfig) -> SizeResult {
 /// Confirms a candidate capacity with fresh measurements: the reported
 /// size must not diverge from the all-hit reference, and size + one fetch
 /// granularity must. Walks at most a few steps if either check fails.
+/// Returns the walk's verdict with every probe's `(size, fits)`.
 ///
-/// Returns `Some(size)` only for a size the pair-check actually
+/// The verdict is `Some(size)` only for a size the pair-check actually
 /// *confirmed* — `fits(size)` and `!fits(size + fg)` observed on fresh
 /// measurements. `None` signals the caller that no probed size was
 /// confirmed: the probes oscillated around the boundary until the walk
@@ -325,15 +326,14 @@ fn confirm_boundary(
     candidate: u64,
     fg: u64,
     overhead: f64,
-) -> Option<u64> {
-    let debug = cfg.debug;
-    confirm_boundary_walk(candidate, fg, 4, |size| {
+) -> (Option<u64>, Vec<(u64, Option<bool>)>) {
+    let mut probes = Vec::new();
+    let confirmed = confirm_boundary_walk(candidate, fg, 4, |size| {
         let fits = measure(gpu, cfg, size, overhead).map(|sample| !diverges(reference, &sample));
-        if debug {
-            eprintln!("confirm_boundary: probe size={size} fits={fits:?}");
-        }
+        probes.push((size, fits));
         fits
-    })
+    });
+    (confirmed, probes)
 }
 
 /// The confirmation walk itself, decoupled from the measurement probe so
@@ -426,6 +426,30 @@ mod tests {
             LoadFlags::CACHE_ALL,
         );
         assert_eq!(r.bytes(), Some(truth), "{r:?}");
+    }
+
+    /// A found size carries its confirmation's probes, and a confirmed
+    /// size ends them with its pair: the size fits, one granule more does
+    /// not.
+    #[test]
+    fn found_size_ends_its_probes_with_the_confirmed_pair() {
+        let mut gpu = presets::t1000();
+        let spec = *gpu.config.cache(CacheKind::L1).unwrap();
+        let fg = spec.fetch_granularity as u64;
+        let SizeResult::Found { bytes, probes, .. } = size_of(
+            &mut gpu,
+            CacheKind::L1,
+            MemorySpace::Global,
+            LoadFlags::CACHE_ALL,
+        ) else {
+            panic!("T1000 L1 size not found");
+        };
+        assert_eq!(bytes, spec.size);
+        assert_eq!(
+            probes[probes.len().saturating_sub(2)..],
+            [(bytes, Some(true)), (bytes + fg, Some(false))],
+            "{probes:?}"
+        );
     }
 
     #[test]

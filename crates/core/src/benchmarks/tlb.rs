@@ -41,8 +41,6 @@ pub struct TlbConfig {
     pub scan_points: usize,
     /// K-S significance level.
     pub alpha: f64,
-    /// Trace the boundary confirmation (see [`SizeConfig::debug`]).
-    pub debug: bool,
 }
 
 impl TlbConfig {
@@ -60,7 +58,6 @@ impl TlbConfig {
             record_n: 192,
             scan_points: 16,
             alpha: 0.05,
-            debug: false,
         }
     }
 }
@@ -103,6 +100,9 @@ pub struct TlbDiscovery {
     pub l1: TlbLevelOutcome,
     /// The GPU-level L2 TLB.
     pub l2: TlbLevelOutcome,
+    /// The two reach searches' boundary-confirmation probes, L1 first
+    /// (see [`SizeResult::Found`]).
+    pub probes: Vec<(u64, Option<bool>)>,
 }
 
 /// Median winsorised latency of one warmed page-stride chase at `pages`
@@ -133,25 +133,30 @@ fn search_reach(gpu: &mut Gpu, cfg: &TlbConfig, lo_pages: u64, cap_pages: u64) -
         record_n: cfg.record_n,
         scan_points: cfg.scan_points,
         alpha: cfg.alpha,
-        debug: cfg.debug,
         ..SizeConfig::new(cfg.space, cfg.flags, cfg.page_bytes)
     };
     size::run(gpu, &size_cfg)
 }
 
 /// Converts one level's search outcome, measuring the walk penalty for a
-/// found reach against the `baseline_pages` footprint.
+/// found reach against the `baseline_pages` footprint, and appends the
+/// search's confirmation probes to `probes`.
 fn level_outcome(
     gpu: &mut Gpu,
     cfg: &TlbConfig,
     result: SizeResult,
     baseline_pages: u64,
     overhead: f64,
+    probes: &mut Vec<(u64, Option<bool>)>,
 ) -> TlbLevelOutcome {
     match result {
         SizeResult::Found {
-            bytes, confidence, ..
+            bytes,
+            confidence,
+            probes: confirmation,
+            ..
         } => {
+            probes.extend(confirmation);
             let entries = (bytes / cfg.page_bytes) as u32;
             let base = median_latency_at(gpu, cfg, baseline_pages, overhead);
             let beyond = median_latency_at(gpu, cfg, (bytes / cfg.page_bytes) * 2, overhead);
@@ -180,8 +185,9 @@ pub fn run(gpu: &mut Gpu, cfg: &TlbConfig) -> TlbDiscovery {
     // L1 TLB: search from 4 pages up. The cap only bounds the doubling —
     // the cliff sits at the entry count, far below it on every real part.
     let l1_cap_pages = (dram / 4 / page).clamp(8, 8192);
+    let mut probes = Vec::new();
     let l1_result = search_reach(gpu, cfg, 4, l1_cap_pages);
-    let l1 = level_outcome(gpu, cfg, l1_result, 4, overhead);
+    let l1 = level_outcome(gpu, cfg, l1_result, 4, overhead, &mut probes);
 
     // L2 TLB: searched behind the L1 reach, reference re-anchored at 2×
     // the L1 reach (all loads there already pay the L1-TLB miss).
@@ -199,7 +205,7 @@ pub fn run(gpu: &mut Gpu, cfg: &TlbConfig) -> TlbDiscovery {
                 // Penalty baseline back *within* the L1 reach, so the
                 // measured inflation is the full table-walk cost (not the
                 // walk minus the L1-TLB miss already paid at `lo_pages`).
-                level_outcome(gpu, cfg, result, 4, overhead)
+                level_outcome(gpu, cfg, result, 4, overhead, &mut probes)
             }
         }
         TlbLevelOutcome::ExceedsCap { .. } => TlbLevelOutcome::NoResult {
@@ -209,7 +215,7 @@ pub fn run(gpu: &mut Gpu, cfg: &TlbConfig) -> TlbDiscovery {
             reason: format!("L1-TLB search failed first: {reason}"),
         },
     };
-    TlbDiscovery { l1, l2 }
+    TlbDiscovery { l1, l2, probes }
 }
 
 #[cfg(test)]

@@ -24,10 +24,11 @@
 //!   a `contention` report section)
 //! * `--policy` — also classify the first-level data cache's replacement
 //!   policy via eviction-order probes (adds a `policy` report section)
-//! * `--debug` — trace boundary-confirmation walks to stderr
-//! * `--timings` — append per-unit host wall-clock and work (kernels,
-//!   host-walked loads) lines to stderr; the canonical report bytes are
-//!   unaffected
+//! * `--debug` — after the run, print every size search's
+//!   boundary-confirmation probes to stderr, in unit order
+//! * `--timings` — after the run, print per-unit host wall-clock and work
+//!   (kernels, host-walked loads) lines to stderr, in unit order; the
+//!   canonical report bytes are unaffected
 //! * `--scenario <S>` — deployment scenario: `bare-metal` (default),
 //!   `mig:<profile>` (run the suite *inside* a MIG instance, e.g.
 //!   `mig:2g.10gb`), or `hostile` (amplified noise, locked-down APIs)
@@ -54,7 +55,7 @@ use std::path::PathBuf;
 use mt4g_core::report;
 use mt4g_core::serve::{ServeEngine, ServeOptions};
 use mt4g_core::suite::{
-    merge_partials, normalize_report, partial_from_json, JobResult, JobSpec, Selection,
+    merge_partials, normalize_report, partial_from_json, JobResult, JobSpec, Selection, UnitResult,
 };
 use mt4g_sim::device::CacheKind;
 use mt4g_sim::presets::Registry;
@@ -217,8 +218,8 @@ fn print_help() {
          --tlb        also discover L1/L2 TLB reach, entries and walk penalties\n\
          --contention also measure shared-L2 contention (same vs cross segment)\n\
          --policy     also classify the L1/vL1 replacement policy (eviction-order probes)\n\
-         --debug      trace boundary-confirmation walks to stderr\n\
-         --timings    append per-unit wall-clock and work lines to stderr (never the report)\n\
+         --debug      print the size searches' boundary-confirmation probes to stderr\n\
+         --timings    print per-unit wall-clock and work lines to stderr (never the report)\n\
          --jobs N     run up to N discovery units in parallel (0 = all cores; default)\n\
          --shard i/n  run shard i of an n-way split, emit a mergeable partial report\n\
          merge        reassemble a complete set of partial reports into the full report\n\
@@ -299,8 +300,6 @@ fn main() {
     cfg.measure_tlb = args.tlb;
     cfg.measure_contention = args.contention;
     cfg.measure_policy = args.policy;
-    cfg.debug = args.debug;
-    cfg.timings = args.timings;
     if let Some(only) = args.only.as_deref() {
         match parse_element(only) {
             Some(kind) => cfg.only = Some(vec![kind]),
@@ -351,6 +350,7 @@ fn main() {
     let out = job
         .run()
         .unwrap_or_else(|e| fail(format_args!("cannot serialise the report: {e}")));
+    print_diagnostics(&args, &out.units);
     match &out.result {
         JobResult::Full(report) => {
             if !args.quiet {
@@ -382,6 +382,36 @@ fn main() {
                 print_stdout(&out.bytes);
             }
         }
+    }
+}
+
+/// `--debug` and `--timings`: the boundary-confirmation probes, then the
+/// per-unit wall clock and work, of every unit the run executed, in unit
+/// order. Printed from the job's records after the run, so the lines come
+/// out the same at any `--jobs` (the times are host-dependent; the report
+/// bytes never are).
+fn print_diagnostics(args: &Args, units: &[UnitResult]) {
+    if args.debug {
+        for (size, fits) in units.iter().flat_map(|u| &u.probes) {
+            eprintln!("confirm_boundary: probe size={size} fits={fits:?}");
+        }
+    }
+    if args.timings {
+        for u in units {
+            eprintln!(
+                "timing {label}: {ms:.3} ms, {kernels} kernels, {walked} walked loads",
+                label = u.label,
+                ms = u.wall_nanos as f64 / 1e6,
+                kernels = u.kernels_launched,
+                walked = u.walked_loads,
+            );
+        }
+        eprintln!(
+            "timing total: {ms:.3} ms, {kernels} kernels, {walked} walked loads",
+            ms = units.iter().map(|u| u.wall_nanos).sum::<u64>() as f64 / 1e6,
+            kernels = units.iter().map(|u| u.kernels_launched).sum::<u64>(),
+            walked = units.iter().map(|u| u.walked_loads).sum::<u64>(),
+        );
     }
 }
 

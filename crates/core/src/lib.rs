@@ -49,6 +49,10 @@
 //! assert!(json.contains("\"L1\""));
 //! ```
 
+// The library never writes to stdout or stderr: what a caller may print,
+// it returns as data.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod benchmarks;
 pub mod classify;
 pub mod lookup;

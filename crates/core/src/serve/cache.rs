@@ -57,11 +57,6 @@ impl CacheKey {
     pub fn address(&self) -> u128 {
         self.address
     }
-
-    /// The 128-bit content address, as lowercase hex.
-    pub fn address_hex(&self) -> String {
-        format!("{:032x}", self.address)
-    }
 }
 
 /// Two independent 64-bit FNV-1a streams (the second walks the bytes in

@@ -50,7 +50,7 @@ pub struct UnitResult {
     /// Host wall-clock the unit took to execute, in nanoseconds.
     /// `#[serde(skip)]` — host timing is machine-dependent and must never
     /// enter the canonical partial/report bytes; it only feeds the
-    /// `--timings` stderr trace and the `suite_wallclock` bench phases.
+    /// `mt4g --timings` lines and the `suite_wallclock` bench phases.
     #[serde(skip)]
     pub wall_nanos: u64,
     /// Benchmark instances executed (Sec. V-A accounting).
@@ -67,6 +67,12 @@ pub struct UnitResult {
     /// and report bytes.
     #[serde(skip)]
     pub walked_loads: u64,
+    /// The unit's size searches' boundary-confirmation probes,
+    /// `(array bytes, fits)` in the order they ran — the lines
+    /// `mt4g --debug` prints. `#[serde(skip)]` like `wall_nanos`: a
+    /// diagnostic trace, not a measurement.
+    #[serde(skip)]
+    pub probes: Vec<(u64, Option<bool>)>,
 }
 
 /// Executes the selected units of `plan` (plus any dependencies not in the
@@ -83,14 +89,29 @@ pub fn execute_plan(
     selection: &[usize],
     jobs: usize,
 ) -> Vec<UnitResult> {
-    let emit: BTreeSet<usize> = selection.iter().copied().collect();
-    for &id in &emit {
+    let mut results = execute_units(gpu, cfg, plan, selection, jobs);
+    results.retain(|r| selection.contains(&r.unit));
+    results
+}
+
+/// [`execute_plan`] without the final filter: the results of every unit
+/// executed, in unit-id order, recomputed dependencies included — whose
+/// host-side records (`wall_nanos`, `walked_loads`, `probes`) the CLI
+/// prints too.
+pub(crate) fn execute_units(
+    gpu: &Gpu,
+    cfg: &DiscoveryConfig,
+    plan: &DiscoveryPlan,
+    selection: &[usize],
+    jobs: usize,
+) -> Vec<UnitResult> {
+    for &id in selection {
         assert!(id < plan.len(), "selected unit {id} outside plan");
     }
 
     // Dependency closure: a shard that holds `nv.sharing` but not `nv.l1`
     // recomputes `nv.l1` locally (bit-identical) without emitting it.
-    let mut needed = emit.clone();
+    let mut needed: BTreeSet<usize> = selection.iter().copied().collect();
     let mut stack: Vec<usize> = needed.iter().copied().collect();
     while let Some(id) = stack.pop() {
         for &dep in &plan.units()[id].deps {
@@ -128,7 +149,7 @@ pub fn execute_plan(
                 .map(|id| {
                     #[expect(
                         clippy::disallowed_methods,
-                        reason = "per-unit --timings stderr lines; host wall clock never enters the report"
+                        reason = "per-unit wall_nanos; host wall clock never enters the report"
                     )]
                     let t0 = std::time::Instant::now();
                     let (mut result, exported) = run_unit(gpu, cfg, &plan.units()[id], inputs_ref);
@@ -146,30 +167,7 @@ pub fn execute_plan(
         }
     }
 
-    // Per-unit wall clock and work on stderr, in deterministic unit-id
-    // order (the times are host-dependent; the report bytes never are).
-    if cfg.timings {
-        for r in results.values() {
-            eprintln!(
-                "timing {label}: {ms:.3} ms, {kernels} kernels, {walked} walked loads",
-                label = r.label,
-                ms = r.wall_nanos as f64 / 1e6,
-                kernels = r.kernels_launched,
-                walked = r.walked_loads,
-            );
-        }
-        eprintln!(
-            "timing total: {ms:.3} ms, {kernels} kernels, {walked} walked loads",
-            ms = results.values().map(|r| r.wall_nanos).sum::<u64>() as f64 / 1e6,
-            kernels = results.values().map(|r| r.kernels_launched).sum::<u64>(),
-            walked = results.values().map(|r| r.walked_loads).sum::<u64>(),
-        );
-    }
-
-    results
-        .into_values()
-        .filter(|r| emit.contains(&r.unit))
-        .collect()
+    results.into_values().collect()
 }
 
 /// Folds unit results (which must be in unit-id order) into a full report.

@@ -14,9 +14,11 @@
 //!   realized GPU, the deterministic [`DiscoveryPlan`], and the plan
 //!   fingerprint (the byte-determinism contract from the shard/merge
 //!   work);
-//! * [`Job::run`] produces a [`JobOutput`] whose `bytes` are **exactly**
-//!   what the batch CLI would print for the same cell — the property that
-//!   makes a content-addressed cache of job outputs safe to serve.
+//! * [`Job::run`] executes that plan and produces a [`JobOutput`] whose
+//!   `bytes` are **exactly** what the batch CLI would print for the same
+//!   cell — the property that makes a content-addressed cache of job
+//!   outputs safe to serve — plus the per-unit records the CLI's
+//!   `--debug` and `--timings` lines are printed from.
 //!
 //! The batch paths (`mt4g --gpu …`, `--shard i/n`) are thin clients of
 //! this layer: they build a [`JobSpec`] from argv and emit
@@ -30,10 +32,12 @@ use mt4g_sim::scenario::{Scenario, ScenarioError};
 
 use crate::report::Report;
 
+use super::exec::{assemble_report, execute_units};
+use super::partial::shard_partial;
 use super::plan::DiscoveryPlan;
 use super::{
-    expected_elements, normalize_report, partial_to_json, run_discovery, run_shard,
-    DiscoveryConfig, PartialReport,
+    expected_elements, normalize_report, partial_to_json, report_header, DiscoveryConfig,
+    PartialReport, UnitResult,
 };
 
 /// Which slice of the discovery plan a job covers.
@@ -185,7 +189,8 @@ pub struct Job {
     has_l3: bool,
 }
 
-/// What a job produced: the structured result plus the canonical bytes.
+/// What a job produced: the structured result, the canonical bytes, and
+/// the per-unit records.
 ///
 /// `bytes` is the exact serialization the batch CLI prints for the same
 /// cell (pretty JSON, no trailing newline). The result cache stores these
@@ -196,6 +201,10 @@ pub struct JobOutput {
     pub result: JobResult,
     /// The canonical JSON bytes of the result.
     pub bytes: String,
+    /// Every unit the job executed, in unit-id order — a shard's
+    /// recomputed dependencies included — with the host-side records
+    /// (`wall_nanos`, `walked_loads`, `probes`) that stay out of `bytes`.
+    pub units: Vec<UnitResult>,
 }
 
 /// The structured half of a [`JobOutput`].
@@ -257,33 +266,39 @@ impl Job {
         &mut self.gpu
     }
 
-    /// Runs the job to completion and returns the canonical output.
+    /// Executes the plan [`JobSpec::resolve`] built and returns the
+    /// canonical output.
     ///
     /// Byte-compatibility contract: for [`Selection::Full`] the bytes are
-    /// `to_json_pretty(normalize_report(run_discovery(..)))`, for
-    /// [`Selection::Shard`] they are `partial_to_json(run_shard(..))` —
+    /// those of `to_json_pretty(normalize_report(run_discovery(..)))`, for
+    /// [`Selection::Shard`] those of `partial_to_json(run_shard(..))` —
     /// exactly the historical CLI serialization paths, so outputs of this
     /// method, the batch CLI, and cache hits are interchangeable.
     pub fn run(&mut self) -> Result<JobOutput, serde_json::Error> {
-        match self.selection {
+        let selection = match self.selection {
+            Selection::Full => (0..self.plan.len()).collect(),
+            Selection::Shard { index, count } => self.plan.shard(index, count),
+        };
+        let units = execute_units(&self.gpu, &self.cfg, &self.plan, &selection, self.cfg.jobs);
+        let (result, bytes) = match self.selection {
             Selection::Full => {
-                let mut report = run_discovery(&mut self.gpu, &self.cfg);
+                let (device, compute) = report_header(&self.gpu);
+                let mut report = assemble_report(device, compute, &units);
                 normalize_report(&mut report, self.has_l3);
                 let bytes = crate::report::to_json_pretty(&report)?;
-                Ok(JobOutput {
-                    result: JobResult::Full(report),
-                    bytes,
-                })
+                (JobResult::Full(report), bytes)
             }
             Selection::Shard { index, count } => {
-                let partial = run_shard(&mut self.gpu, &self.cfg, index, count);
+                let partial = shard_partial(&self.gpu, &self.plan, index, count, &units);
                 let bytes = partial_to_json(&partial)?;
-                Ok(JobOutput {
-                    result: JobResult::Partial(partial),
-                    bytes,
-                })
+                (JobResult::Partial(partial), bytes)
             }
-        }
+        };
+        Ok(JobOutput {
+            result,
+            bytes,
+            units,
+        })
     }
 }
 
@@ -291,6 +306,7 @@ impl Job {
 mod tests {
     use super::*;
     use crate::report::to_json_pretty;
+    use crate::suite::{run_discovery, run_shard};
     use mt4g_sim::presets;
 
     fn cheap() -> DiscoveryConfig {
@@ -375,6 +391,50 @@ mod tests {
         let out = job.run().unwrap();
         let direct = run_shard(&mut presets::t1000(), &cheap(), 1, 2);
         assert_eq!(out.bytes, partial_to_json(&direct).unwrap());
+    }
+
+    /// A shard job's records cover every unit it executed, with their
+    /// host-side diagnostics: its own units, which its partial carries
+    /// with those cleared, and the dependencies it recomputed, which the
+    /// partial leaves out.
+    #[test]
+    fn shard_job_records_its_recomputed_dependencies() {
+        let cfg = DiscoveryConfig {
+            measure_bandwidth: false,
+            measure_flops: false,
+            ..DiscoveryConfig::fast()
+        };
+        let plan = DiscoveryPlan::new(&presets::t1000(), &cfg);
+        let id = |label: &str| plan.units().iter().position(|u| u.label == label);
+        let (l1, sharing) = (id("nv.l1").unwrap(), id("nv.sharing").unwrap());
+        assert_ne!(l1 % 2, sharing % 2, "nv.l1 and nv.sharing share a shard");
+        let mut job = JobSpec {
+            gpu: "T1000".into(),
+            scenario: Scenario::BareMetal,
+            cfg,
+            selection: Selection::Shard {
+                index: sharing % 2 + 1,
+                count: 2,
+            },
+        }
+        .resolve()
+        .unwrap();
+        let out = job.run().unwrap();
+        let JobResult::Partial(partial) = &out.result else {
+            panic!("a shard job emits a partial");
+        };
+        let emitted: Vec<usize> = partial.results.iter().map(|r| r.unit).collect();
+        assert!(emitted.contains(&sharing) && !emitted.contains(&l1));
+        let recomputed = out.units.iter().find(|u| u.unit == l1);
+        assert!(
+            recomputed.is_some_and(|u| !u.probes.is_empty()),
+            "nv.l1 and its size search's probes"
+        );
+        assert!(out.units.iter().all(|u| u.wall_nanos > 0));
+        assert!(partial
+            .results
+            .iter()
+            .all(|r| r.wall_nanos == 0 && r.walked_loads == 0 && r.probes.is_empty()));
     }
 
     #[test]

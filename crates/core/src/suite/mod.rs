@@ -46,7 +46,7 @@ use mt4g_sim::device::{CacheKind, Vendor};
 use mt4g_sim::gpu::Gpu;
 
 use crate::lookup;
-use crate::report::{Attribute, ComputeInfo, DeviceInfo, LatencyReport, Report};
+use crate::report::{Attribute, ComputeInfo, DeviceInfo, Report};
 
 /// Tuning knobs of a discovery run.
 #[derive(Debug, Clone)]
@@ -80,16 +80,6 @@ pub struct DiscoveryConfig {
     /// first-level data cache (CLI `--policy`). Off by default, like
     /// [`Self::measure_tlb`].
     pub measure_policy: bool,
-    /// Trace boundary-confirmation walks to stderr (CLI `--debug`) —
-    /// the successor of the old undocumented `MT4G_DEBUG` env sniffing.
-    /// Purely diagnostic: it never changes a measurement, so it stays out
-    /// of the plan fingerprint.
-    pub debug: bool,
-    /// Append per-unit host wall-clock and work (kernels, host-walked
-    /// loads) lines to stderr (CLI `--timings`).
-    /// Like [`Self::debug`], purely diagnostic: host timing never enters
-    /// the report bytes, so it stays out of the plan fingerprint too.
-    pub timings: bool,
     /// Worker threads for independent discovery units (CLI `--jobs`;
     /// `0` = all available cores). Any value produces the same report —
     /// parallelism only changes wall-clock time.
@@ -109,8 +99,6 @@ impl Default for DiscoveryConfig {
             measure_tlb: false,
             measure_contention: false,
             measure_policy: false,
-            debug: false,
-            timings: false,
             jobs: 0,
         }
     }
@@ -179,11 +167,6 @@ pub fn run_discovery(gpu: &mut Gpu, cfg: &DiscoveryConfig) -> Report {
     let results = execute_plan(gpu, cfg, &plan, &selection, cfg.jobs);
     let (device, compute) = report_header(gpu);
     exec::assemble_report(device, compute, &results)
-}
-
-/// Convenience: `LatencyReport` from an attribute, for downstream models.
-pub fn mean_latency(attr: &Attribute<LatencyReport>) -> Option<f64> {
-    attr.value().map(|l| l.mean)
 }
 
 /// Elements a vendor's report is expected to contain, in Table I order —

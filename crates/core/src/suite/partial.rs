@@ -60,16 +60,35 @@ pub fn run_shard(
     count: usize,
 ) -> PartialReport {
     let plan = DiscoveryPlan::new(gpu, cfg);
+    let results = execute_plan(gpu, cfg, &plan, &plan.shard(index, count), cfg.jobs);
+    shard_partial(gpu, &plan, index, count, &results)
+}
+
+/// The partial report of shard `index` of `count` of `plan`, from the
+/// results of executing that shard (recomputed dependencies, which the
+/// shard does not emit, included).
+pub(crate) fn shard_partial(
+    gpu: &Gpu,
+    plan: &DiscoveryPlan,
+    index: usize,
+    count: usize,
+    executed: &[UnitResult],
+) -> PartialReport {
     let selection = plan.shard(index, count);
-    let mut results = execute_plan(gpu, cfg, &plan, &selection, cfg.jobs);
-    // Host wall-clock and host-walked loads are `#[serde(skip)]` — they
-    // would vanish on the trip through the partial bytes anyway. Zero them
-    // here so a PartialReport equals its own parse (the round-trip
-    // invariant the merge tests pin).
-    for r in &mut results {
-        r.wall_nanos = 0;
-        r.walked_loads = 0;
-    }
+    // Host wall-clock, host-walked loads and probes are `#[serde(skip)]` —
+    // they would vanish on the trip through the partial bytes anyway.
+    // Clear them here so a PartialReport equals its own parse (the
+    // round-trip invariant the merge tests pin).
+    let results = executed
+        .iter()
+        .filter(|r| selection.contains(&r.unit))
+        .map(|r| UnitResult {
+            wall_nanos: 0,
+            walked_loads: 0,
+            probes: Vec::new(),
+            ..r.clone()
+        })
+        .collect();
     let (device, compute) = report_header(gpu);
     PartialReport {
         format: PARTIAL_FORMAT,

@@ -255,10 +255,6 @@ fn fingerprint(gpu: &Gpu, cfg: &DiscoveryConfig, units: &[PlanUnit]) -> String {
         measure_tlb,
         measure_contention,
         measure_policy,
-        // Stderr tracing only; never changes a measurement.
-        debug: _,
-        // Stderr wall-clock lines only; never changes a measurement.
-        timings: _,
         // Parallelism degree; byte identity across --jobs is itself a
         // tested invariant.
         jobs: _,
@@ -348,11 +344,7 @@ mod tests {
         fps.dedup();
         assert_eq!(fps.len(), 11, "a knob flip left the fingerprint unchanged");
 
-        let neutral = fp(|c| {
-            c.debug ^= true;
-            c.timings ^= true;
-            c.jobs += 3;
-        });
+        let neutral = fp(|c| c.jobs += 3);
         assert_eq!(neutral, fp(|_| {}), "a measurement-neutral knob moved it");
     }
 

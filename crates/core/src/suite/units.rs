@@ -180,7 +180,8 @@ pub(crate) fn run_unit(
                         .fetch_granularity(CacheKind::L2, space, flags, hit)
                         .unwrap_or(32);
                     run.count(1);
-                    if let Some(segs) = l2_segments::run(&mut run.gpu, fg, cfg.scan_points) {
+                    if let Some(mut segs) = l2_segments::run(&mut run.gpu, fg, cfg.scan_points) {
+                        run.result.probes.append(&mut segs.probes);
                         run.row(CacheKind::L2).amount = Attribute::Measured {
                             value: AmountReport {
                                 count: segs.count,
@@ -249,11 +250,7 @@ pub(crate) fn run_unit(
                     hit_latency: m.hit_latency.unwrap_or(50.0),
                     can_pin_cus: !run.gpu.config.quirks.no_cu_pinning,
                 };
-                let result = if cfg.cu_window > 0 {
-                    sharing_amd::run_windowed(&mut run.gpu, &sh_cfg, cfg.cu_window)
-                } else {
-                    sharing_amd::run(&mut run.gpu, &sh_cfg)
-                };
+                let result = sharing_amd::run(&mut run.gpu, &sh_cfg, cfg.cu_window);
                 run.row(CacheKind::SL1D).shared_with = match result {
                     CuSharingResult::Found { partners } => Attribute::Measured {
                         value: SharingReport::CuPartners(partners),
@@ -341,10 +338,10 @@ pub(crate) fn run_unit(
                         record_n: cfg.record_n.min(192),
                         scan_points: cfg.scan_points.min(16),
                         alpha: cfg.alpha,
-                        debug: cfg.debug,
                         ..TlbConfig::new(run.gpu.vendor(), page)
                     };
                     let d = tlb::run(&mut run.gpu, &t_cfg);
+                    run.result.probes = d.probes;
                     vec![
                         tlb_row(TlbLevel::L1Tlb, page, d.l1),
                         tlb_row(TlbLevel::L2Tlb, page, d.l2),
@@ -620,7 +617,6 @@ impl UnitRun<'_> {
             alpha: self.cfg.alpha,
             record_n: self.cfg.record_n,
             scan_points: self.cfg.scan_points,
-            debug: self.cfg.debug,
             ..SizeConfig::new(space, flags, fg)
         };
         if let Some(lo) = search_lo {
@@ -632,8 +628,12 @@ impl UnitRun<'_> {
         self.count(1);
         self.row(kind).size = match size::run(&mut self.gpu, &size_cfg) {
             SizeResult::Found {
-                bytes, confidence, ..
+                bytes,
+                confidence,
+                probes,
+                ..
             } => {
+                self.result.probes.extend(probes);
                 m.size = Some(bytes);
                 Attribute::Measured {
                     value: bytes,

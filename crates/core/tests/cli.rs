@@ -229,6 +229,39 @@ fn timings_flag_traces_stderr_without_changing_report_bytes() {
     );
 }
 
+/// `--debug` prints the probes from the units' records after the run, in
+/// unit order, so its stderr is the same at any `--jobs` — and it covers
+/// every size search, the NVIDIA L2 segment search included.
+#[test]
+fn debug_trace_is_deterministic_and_covers_the_l2_search() {
+    let stderr = |extra: &[&str]| {
+        let out = mt4g()
+            .args(["--gpu", "H100-80", "--fast", "-q", "--tlb", "--debug"])
+            .args(extra)
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stderr).expect("utf-8 stderr")
+    };
+    let serial = stderr(&["--jobs", "1"]);
+    for run in 0..5 {
+        assert_eq!(stderr(&[]), serial, "run {run} at the default --jobs");
+    }
+    // The L2 search's confirmed pair: one 25 MiB segment of the 50 MiB
+    // L2 fits, one 32 B fetch granule more does not.
+    assert!(
+        serial.contains(
+            "confirm_boundary: probe size=26214400 fits=Some(true)\n\
+             confirm_boundary: probe size=26214432 fits=Some(false)\n"
+        ),
+        "no L2 segment probes in: {serial}"
+    );
+}
+
 /// The new-preset golden alongside the T1000 one: a full fast B200
 /// discovery must print one parseable JSON report whose L1 row carries
 /// the planted Blackwell geometry, byte-identically across invocations.

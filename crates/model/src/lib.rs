@@ -29,6 +29,10 @@
 //! discovery suite — including reports reassembled from CI shards with
 //! `mt4g merge`, which are byte-identical to single-process runs.
 
+// The library never writes to stdout or stderr: what a caller may print,
+// it returns as data.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod gpuscout;
 pub mod hongkim;
 pub mod roofline;

@@ -64,8 +64,7 @@
 //!   in place.
 //! * **Set-associative** — no preset builds one, so it is the plain
 //!   per-set model [`reference::PolicyReferenceCache`], the same code the
-//!   fully-associative store is tested against and the policy unit
-//!   replays as its predictor.
+//!   fully-associative store is tested against.
 //!
 //! The retained [`mod@reference`] implementations plus the differential
 //! property tests in `crates/sim/tests/prop.rs` pin both organisations

@@ -11,9 +11,8 @@
 //!   asserts equivalence; keep this one in sync with nothing: it is
 //!   frozen on purpose.
 //! * [`PolicyReferenceCache`] is the per-policy, per-set model: the
-//!   oracle the fully-associative store is tested against, the
-//!   predictor the policy-discovery unit replays, and the storage of
-//!   every set-associative [`super::SectoredCache`].
+//!   oracle the fully-associative store is tested against, and the
+//!   storage of every set-associative [`super::SectoredCache`].
 
 use std::collections::BTreeMap;
 
@@ -112,11 +111,6 @@ impl ReferenceSectoredCache {
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// Whether the fully-associative organisation was selected.
-    pub fn is_fully_associative(&self) -> bool {
-        matches!(self.org, Organization::FullyAssociative { .. })
     }
 
     /// (hits, misses) counters since construction.

@@ -49,6 +49,10 @@
 //! whole run parallelises across threads (or CI shards) without changing
 //! a single measured value. See `ARCHITECTURE.md` at the workspace root.
 
+// The library never writes to stdout or stderr: what a caller may print,
+// it returns as data.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod api;
 pub mod bandwidth;
 pub mod cache;

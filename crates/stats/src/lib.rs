@@ -36,6 +36,10 @@
 //! item must carry rustdoc, and `cargo doc --no-deps` is kept
 //! warning-free in CI.
 
+// The library never writes to stdout or stderr: what a caller may print,
+// it returns as data.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod cpd;
 pub mod descriptive;
 pub mod ks;
