@@ -26,7 +26,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use mt4g_core::benchmarks::policy::{self, PolicyConfig, PolicyOutcome};
-use mt4g_core::pchase::{observe, prepare_chase, run_pchase_with_overhead, warm, PchaseConfig};
+use mt4g_core::pchase::{prime_probe, run_pchase_with_overhead, Actor, PchaseConfig};
 use mt4g_core::serve::{CacheKey, ResultCache};
 use mt4g_core::suite::{execute_plan, DiscoveryConfig, DiscoveryPlan};
 use mt4g_sim::cache::{SectoredCache, FULLY_ASSOCIATIVE};
@@ -107,8 +107,6 @@ fn pchase_workloads(out: &mut Vec<(String, f64)>) {
         let cfg =
             PchaseConfig::sequential(MemorySpace::Global, LoadFlags::CACHE_ALL, array_bytes, 32);
         let ns = best_ns_per_elem(5, array_bytes / 32, || {
-            gpu.free_all();
-            gpu.flush_caches();
             let run = run_pchase_with_overhead(black_box(&mut gpu), &cfg, 8.0).unwrap();
             run.latencies.len() as u64
         });
@@ -175,8 +173,6 @@ fn walked_chase_ns(
 ) -> f64 {
     let cfg = PchaseConfig::sequential(space, flags, bytes, stride);
     let chase = |gpu: &mut Gpu| {
-        gpu.free_all();
-        gpu.flush_caches();
         let before = gpu.walked_loads();
         let run = run_pchase_with_overhead(black_box(gpu), &cfg, 8.0).unwrap();
         let walked = gpu.walked_loads() - before;
@@ -188,23 +184,18 @@ fn walked_chase_ns(
 }
 
 /// The amount benchmark's prime/probe sequence at the H100-80 L1
-/// capacity, at its fetch granularity: flush, warm ring A from core 0,
-/// warm ring B from core 1, observe A for 256 steps. Reports ns per
-/// executed load (both laps and the observation).
+/// capacity, at its fetch granularity: `prime_probe` from a fresh device,
+/// ring A warmed from core 0, ring B from core 1, A observed for 256
+/// steps. Reports ns per executed load (both laps and the observation).
 fn prime_probe_ns() -> f64 {
     let mut gpu = presets::h100_80();
     let l1 = *gpu.config.cache(CacheKind::L1).expect("H100-80 has an L1");
-    let (space, flags) = (MemorySpace::Global, LoadFlags::CACHE_ALL);
     let stride = u64::from(l1.fetch_granularity);
-    gpu.free_all();
-    let a = prepare_chase(&mut gpu, space, l1.size, stride).unwrap();
-    let b = prepare_chase(&mut gpu, space, l1.size, stride).unwrap();
-    let loads = a.elements + b.elements + 256;
+    let a = Actor::new(MemorySpace::Global, LoadFlags::CACHE_ALL, l1.size, stride);
+    let b = Actor { core: 1, ..a };
+    let loads = 2 * (l1.size / stride) + 256;
     best_ns_per_elem(5, loads, || {
-        gpu.flush_caches();
-        warm(&mut gpu, a, space, flags, 0, 0);
-        warm(&mut gpu, b, space, flags, 0, 1);
-        let lats = observe(black_box(&mut gpu), a, space, flags, 0, 0, 256, 8.0);
+        let lats = prime_probe(black_box(&mut gpu), &a, Some(&b), 256, 8.0).unwrap();
         lats.len() as u64
     })
 }
@@ -352,8 +343,6 @@ fn timed_pass_ns() -> f64 {
         let walked = gpu.walked_loads();
         let mut steps = 0;
         for _ in 0..64 {
-            gpu.free_all();
-            gpu.flush_caches();
             let run = run_pchase_with_overhead(black_box(&mut gpu), &cfg, 8.0).unwrap();
             steps += run.latencies.len() as u64;
         }
@@ -384,7 +373,6 @@ fn flush_after_probe_ns() -> f64 {
     for _ in 0..5 {
         let mut nanos = 0;
         for _ in 0..flushes {
-            gpu.free_all();
             run_pchase_with_overhead(&mut gpu, &cfg, 8.0).unwrap();
             let t = Instant::now();
             black_box(&mut gpu).flush_caches();

@@ -8,7 +8,7 @@
 
 use mt4g_core::benchmarks::amount::{run, AmountConfig};
 use mt4g_core::classify::HitMissClassifier;
-use mt4g_core::pchase::{calibrate_overhead, observe, prepare_chase, warm};
+use mt4g_core::pchase::{calibrate_overhead, prime_probe, Actor};
 use mt4g_sim::device::{CacheKind, LoadFlags, MemorySpace};
 use mt4g_sim::gpu::Gpu;
 use mt4g_sim::presets;
@@ -20,43 +20,15 @@ fn trace(gpu: &mut Gpu, label: &str) {
     println!("\n--- {label} ---");
     println!("core A = 0; array size = L1 capacity ({} B)", spec.size);
     let cores = gpu.config.chip.cores_per_sm;
+    let stride = spec.fetch_granularity as u64;
+    let a = Actor::new(MemorySpace::Global, LoadFlags::CACHE_ALL, spec.size, stride);
     let mut core_b = 1;
     while core_b < cores {
-        gpu.free_all();
-        gpu.flush_caches();
-        let a = prepare_chase(
-            gpu,
-            MemorySpace::Global,
-            spec.size,
-            spec.fetch_granularity as u64,
-        )
-        .unwrap();
-        let b = prepare_chase(
-            gpu,
-            MemorySpace::Global,
-            spec.size,
-            spec.fetch_granularity as u64,
-        )
-        .unwrap();
-        warm(gpu, a, MemorySpace::Global, LoadFlags::CACHE_ALL, 0, 0);
-        warm(
-            gpu,
-            b,
-            MemorySpace::Global,
-            LoadFlags::CACHE_ALL,
-            0,
-            core_b as usize,
-        );
-        let lats = observe(
-            gpu,
-            a,
-            MemorySpace::Global,
-            LoadFlags::CACHE_ALL,
-            0,
-            0,
-            128,
-            overhead,
-        );
+        let b = Actor {
+            core: core_b as usize,
+            ..a
+        };
+        let lats = prime_probe(gpu, &a, Some(&b), 128, overhead).unwrap();
         let hit_frac = classifier.hit_fraction(&lats);
         println!(
             "  (1) A fills; (2) B@core {core_b:>3} fills; (3) A observes: {:>5.1}% hits -> {}",

@@ -19,7 +19,7 @@ use mt4g_sim::device::{LoadFlags, MemorySpace};
 use mt4g_sim::gpu::Gpu;
 
 use crate::classify::{HitMissClassifier, RunVerdict};
-use crate::pchase::{calibrate_overhead, observe, prepare_chase, warm};
+use crate::pchase::{calibrate_overhead, prime_probe, Actor};
 
 /// Configuration of the amount benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -68,26 +68,18 @@ pub fn run(gpu: &mut Gpu, cfg: &AmountConfig) -> AmountResult {
     let classifier = HitMissClassifier::for_hit_latency(cfg.target_hit_latency);
 
     // Arrays sized at the cache capacity so they evict each other fully.
-    let array = cfg.cache_size;
-    gpu.free_all();
-    gpu.flush_caches();
-    let Ok(buf_a) = prepare_chase(gpu, cfg.space, array, cfg.fetch_granularity) else {
-        return AmountResult::NoResult {
-            reason: "allocation failure".into(),
-        };
-    };
-    let Ok(buf_b) = prepare_chase(gpu, cfg.space, array, cfg.fetch_granularity) else {
-        return AmountResult::NoResult {
-            reason: "allocation failure".into(),
-        };
-    };
-
+    let a = Actor::new(cfg.space, cfg.flags, cfg.cache_size, cfg.fetch_granularity);
     let mut core_b = 1u32;
     while core_b < cores {
-        gpu.flush_caches();
-        warm(gpu, buf_a, cfg.space, cfg.flags, 0, 0); // (1) core A
-        warm(gpu, buf_b, cfg.space, cfg.flags, 0, core_b as usize); // (2) core B
-        let lats = observe(gpu, buf_a, cfg.space, cfg.flags, 0, 0, 256, overhead); // (3)
+        let b = Actor {
+            core: core_b as usize,
+            ..a
+        };
+        let Ok(lats) = prime_probe(gpu, &a, Some(&b), 256, overhead) else {
+            return AmountResult::NoResult {
+                reason: "allocation failure".into(),
+            };
+        };
         if classifier.verdict(&lats) == RunVerdict::Hits {
             // Core B used a different segment: A's data survived.
             return AmountResult::Found {

@@ -31,7 +31,7 @@ use mt4g_sim::gpu::Gpu;
 
 use crate::benchmarks::latency::{self, LatencyConfig};
 use crate::classify::HitMissClassifier;
-use crate::pchase::{calibrate_overhead, observe, prepare_chase, warm};
+use crate::pchase::{calibrate_overhead, prime_probe, Actor};
 
 /// Configuration of the contention benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -143,11 +143,12 @@ pub fn run(gpu: &mut Gpu, cfg: &ContentionConfig) -> ContentionOutcome {
     let mut same_segment_sm = None;
     let mut cross_segment_sm = None;
     let mut same_count = 1usize; // the victim itself
-    let Ok(probe_buf) = prepare_chase(gpu, cfg.space, 64 * 1024, cfg.stride_bytes) else {
+    let Ok(probe_buf) = gpu.alloc(cfg.space, 64 * 1024) else {
         return ContentionOutcome::NoResult {
             reason: "probe allocation failed".into(),
         };
     };
+    let probe_base = gpu.buffer_base(probe_buf);
     // Probe addresses 1 KiB apart: comfortably different cache lines on
     // every part, so one SM's probe can never pre-fetch another's.
     const PROBE_SPACING: u64 = 1024;
@@ -155,7 +156,7 @@ pub fn run(gpu: &mut Gpu, cfg: &ContentionConfig) -> ContentionOutcome {
         let mut hits = 0usize;
         const TRIALS: usize = 5;
         for t in 0..TRIALS {
-            let addr = probe_buf.base + (sm * TRIALS + t) as u64 * PROBE_SPACING;
+            let addr = probe_base + (sm * TRIALS + t) as u64 * PROBE_SPACING;
             // Two victim touches: the second guarantees L2 residency.
             gpu.raw_load(0, 0, cfg.space, LoadFlags::CACHE_GLOBAL, addr);
             gpu.raw_load(0, 0, cfg.space, LoadFlags::CACHE_GLOBAL, addr);
@@ -181,32 +182,18 @@ pub fn run(gpu: &mut Gpu, cfg: &ContentionConfig) -> ContentionOutcome {
     let ring_bytes = (segment_bytes * 3 / 4 / cfg.stride_bytes).max(8) * cfg.stride_bytes;
     let overhead = calibrate_overhead(gpu);
 
+    let victim = Actor::new(
+        cfg.space,
+        LoadFlags::CACHE_GLOBAL,
+        ring_bytes,
+        cfg.stride_bytes,
+    );
     let mut co_run = |polluter: Option<u32>| -> Option<f64> {
-        gpu.free_all();
-        gpu.flush_caches();
-        let victim = prepare_chase(gpu, cfg.space, ring_bytes, cfg.stride_bytes).ok()?;
-        warm(gpu, victim, cfg.space, LoadFlags::CACHE_GLOBAL, 0, 0);
-        if let Some(sm) = polluter {
-            let ring = prepare_chase(gpu, cfg.space, ring_bytes, cfg.stride_bytes).ok()?;
-            warm(
-                gpu,
-                ring,
-                cfg.space,
-                LoadFlags::CACHE_GLOBAL,
-                sm as usize,
-                0,
-            );
-        }
-        let lats = observe(
-            gpu,
-            victim,
-            cfg.space,
-            LoadFlags::CACHE_GLOBAL,
-            0,
-            0,
-            cfg.record_n,
-            overhead,
-        );
+        let polluter = polluter.map(|sm| Actor {
+            sm: sm as usize,
+            ..victim
+        });
+        let lats = prime_probe(gpu, &victim, polluter.as_ref(), cfg.record_n, overhead).ok()?;
         mt4g_stats::descriptive::percentile(&lats, 50.0)
     };
 

@@ -70,8 +70,6 @@ pub fn run(gpu: &mut Gpu, cfg: &FetchGranularityConfig) -> Option<(u32, f64)> {
     let classifier = HitMissClassifier::for_target_stratum(cfg.target_hit_latency);
     let mut stride = 4u64;
     while stride <= cfg.max_stride {
-        gpu.free_all();
-        gpu.flush_caches();
         let array_bytes = cfg.accesses * stride;
         let pc = PchaseConfig {
             space: cfg.space,

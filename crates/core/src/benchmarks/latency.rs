@@ -45,8 +45,6 @@ impl LatencyConfig {
 
 /// Measures the load latency of the configured target.
 pub fn run(gpu: &mut Gpu, cfg: &LatencyConfig) -> Option<LatencyReport> {
-    gpu.free_all();
-    gpu.flush_caches();
     let pc = PchaseConfig {
         space: cfg.space,
         flags: cfg.flags,

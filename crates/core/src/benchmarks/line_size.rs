@@ -78,8 +78,6 @@ fn miss_score(
         let frac = (i + 1) as f64 / (2.0 * cfg.size_points as f64);
         let array = ((cfg.cache_size as f64) * (1.0 + frac)) as u64;
         let array = array / stride * stride; // whole elements
-        gpu.free_all();
-        gpu.flush_caches();
         let pc = PchaseConfig {
             space: cfg.space,
             flags: cfg.flags,

@@ -16,7 +16,7 @@ use mt4g_sim::device::{LoadFlags, MemorySpace};
 use mt4g_sim::gpu::Gpu;
 
 use crate::classify::{HitMissClassifier, RunVerdict};
-use crate::pchase::{calibrate_overhead, observe, prepare_chase, warm};
+use crate::pchase::{calibrate_overhead, prime_probe, Actor};
 
 /// Configuration of the sL1d CU-sharing benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -56,51 +56,18 @@ fn cus_share(
     overhead: f64,
 ) -> bool {
     let classifier = HitMissClassifier::for_hit_latency(cfg.hit_latency);
-    gpu.free_all();
-    gpu.flush_caches();
-    let Ok(buf_a) = prepare_chase(
-        gpu,
-        MemorySpace::Scalar,
-        cfg.sl1d_size,
-        cfg.fetch_granularity,
-    ) else {
-        return false;
+    let a = Actor {
+        sm: cu_a,
+        ..Actor::new(
+            MemorySpace::Scalar,
+            LoadFlags::CACHE_ALL,
+            cfg.sl1d_size,
+            cfg.fetch_granularity,
+        )
     };
-    let Ok(buf_b) = prepare_chase(
-        gpu,
-        MemorySpace::Scalar,
-        cfg.sl1d_size,
-        cfg.fetch_granularity,
-    ) else {
-        return false;
-    };
-    warm(
-        gpu,
-        buf_a,
-        MemorySpace::Scalar,
-        LoadFlags::CACHE_ALL,
-        cu_a,
-        0,
-    );
-    warm(
-        gpu,
-        buf_b,
-        MemorySpace::Scalar,
-        LoadFlags::CACHE_ALL,
-        cu_b,
-        0,
-    );
-    let lats = observe(
-        gpu,
-        buf_a,
-        MemorySpace::Scalar,
-        LoadFlags::CACHE_ALL,
-        cu_a,
-        0,
-        256,
-        overhead,
-    );
-    classifier.verdict(&lats) == RunVerdict::Misses
+    let b = Actor { sm: cu_b, ..a };
+    prime_probe(gpu, &a, Some(&b), 256, overhead)
+        .is_ok_and(|lats| classifier.verdict(&lats) == RunVerdict::Misses)
 }
 
 /// Runs the CU-sharing discovery over every pair of CUs at most `window`

@@ -14,7 +14,7 @@ use mt4g_sim::device::{CacheKind, LoadFlags, MemorySpace};
 use mt4g_sim::gpu::Gpu;
 
 use crate::classify::{HitMissClassifier, RunVerdict};
-use crate::pchase::{calibrate_overhead, observe, prepare_chase, warm};
+use crate::pchase::{calibrate_overhead, prime_probe, Actor};
 
 /// One logical space under test, with the attributes its cache was
 /// measured to have.
@@ -53,9 +53,6 @@ pub fn probe_pair(gpu: &mut Gpu, a: &SpaceProbe, b: &SpaceProbe) -> PairResult {
     let overhead = calibrate_overhead(gpu);
     let classifier = HitMissClassifier::for_hit_latency(a.hit_latency);
 
-    gpu.free_all();
-    gpu.flush_caches();
-    let array_a = a.cache_size;
     // B must be able to evict all of A's cache if they share: size B's
     // array at A's capacity when allocatable, else at B's own maximum.
     let array_b = if b.space == MemorySpace::Constant {
@@ -63,29 +60,20 @@ pub fn probe_pair(gpu: &mut Gpu, a: &SpaceProbe, b: &SpaceProbe) -> PairResult {
     } else {
         a.cache_size.max(b.cache_size)
     };
-    let (Ok(buf_a), Ok(buf_b)) = (
-        prepare_chase(gpu, a.space, array_a, a.fetch_granularity),
-        prepare_chase(gpu, b.space, array_b, b.fetch_granularity),
-    ) else {
+    let actor_a = Actor::new(
+        a.space,
+        LoadFlags::CACHE_ALL,
+        a.cache_size,
+        a.fetch_granularity,
+    );
+    let actor_b = Actor::new(b.space, LoadFlags::CACHE_ALL, array_b, b.fetch_granularity);
+    let Ok(lats) = prime_probe(gpu, &actor_a, Some(&actor_b), 256, overhead) else {
         return PairResult {
             pair: (a.kind, b.kind),
             shared: false,
             confidence: 0.0,
         };
     };
-
-    warm(gpu, buf_a, a.space, LoadFlags::CACHE_ALL, 0, 0); // (1)
-    warm(gpu, buf_b, b.space, LoadFlags::CACHE_ALL, 0, 0); // (2)
-    let lats = observe(
-        gpu,
-        buf_a,
-        a.space,
-        LoadFlags::CACHE_ALL,
-        0,
-        0,
-        256,
-        overhead,
-    ); // (3)
 
     let verdict = classifier.verdict(&lats);
     let hit_fraction = classifier.hit_fraction(&lats);

@@ -118,11 +118,9 @@ fn align_down(v: u64, step: u64) -> u64 {
     v / step * step
 }
 
-/// Runs one p-chase at `array_bytes`, with housekeeping (fresh buffers and
-/// cold-ish caches so earlier runs don't alias into this one).
+/// Runs one p-chase at `array_bytes`. The chase starts from a fresh
+/// device, so earlier runs don't alias into this one.
 fn measure(gpu: &mut Gpu, cfg: &SizeConfig, array_bytes: u64, overhead: f64) -> Option<Vec<f64>> {
-    gpu.free_all();
-    gpu.flush_caches();
     let pc = PchaseConfig {
         space: cfg.space,
         flags: cfg.flags,

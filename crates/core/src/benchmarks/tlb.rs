@@ -108,8 +108,6 @@ pub struct TlbDiscovery {
 /// Median winsorised latency of one warmed page-stride chase at `pages`
 /// pages, or `None` on allocation failure.
 fn median_latency_at(gpu: &mut Gpu, cfg: &TlbConfig, pages: u64, overhead: f64) -> Option<f64> {
-    gpu.free_all();
-    gpu.flush_caches();
     let pc = PchaseConfig {
         space: cfg.space,
         flags: cfg.flags,

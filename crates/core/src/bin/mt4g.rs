@@ -11,6 +11,9 @@
 //! mt4g list
 //! ```
 //!
+//! Each mode takes only the flags it reads; any other exits 2 with
+//! `error: <flag> does not apply to mt4g <mode>`.
+//!
 //! * `-j` — write `<GPU_name>.json` (JSON always goes to stdout otherwise)
 //! * `-p` — write a Markdown report
 //! * `-c` — write the CSV report (the GPUscout-GUI input format)
@@ -64,6 +67,8 @@ use mt4g_sim::scenario::Scenario;
 use mt4g_core::suite::DiscoveryConfig;
 
 struct Args {
+    /// `merge`, `serve`, `list`, `--list`, or `--gpu` for a discovery run.
+    mode: &'static str,
     gpu: Option<String>,
     json_file: bool,
     markdown: bool,
@@ -71,8 +76,6 @@ struct Args {
     graphs: bool,
     quiet: bool,
     fast: bool,
-    list: bool,
-    list_long: bool,
     only: Option<String>,
     tlb: bool,
     contention: bool,
@@ -82,9 +85,8 @@ struct Args {
     scenario: Scenario,
     jobs: usize,
     shard: Option<(usize, usize)>,
-    merge_inputs: Option<Vec<PathBuf>>,
+    merge_inputs: Vec<PathBuf>,
     out_dir: PathBuf,
-    serve: bool,
     workers: usize,
     queue_cap: usize,
     cache_cap: usize,
@@ -102,7 +104,15 @@ fn parse_shard(spec: &str) -> Result<(usize, usize), String> {
 }
 
 fn parse_args() -> Result<Args, String> {
+    let mut it = std::env::args().skip(1).peekable();
+    // A first argument that names a mode selects it; anything else is a
+    // discovery run.
+    let mode = ["merge", "serve", "list"]
+        .into_iter()
+        .find(|mode| it.next_if_eq(*mode).is_some())
+        .unwrap_or("--gpu");
     let mut args = Args {
+        mode,
         gpu: None,
         json_file: false,
         markdown: false,
@@ -110,8 +120,6 @@ fn parse_args() -> Result<Args, String> {
         graphs: false,
         quiet: false,
         fast: false,
-        list: false,
-        list_long: false,
         only: None,
         tlb: false,
         contention: false,
@@ -121,30 +129,17 @@ fn parse_args() -> Result<Args, String> {
         scenario: Scenario::BareMetal,
         jobs: 0,
         shard: None,
-        merge_inputs: None,
+        merge_inputs: Vec::new(),
         out_dir: PathBuf::from("."),
-        serve: false,
         workers: 2,
         queue_cap: 128,
         cache_cap: 64,
     };
-    let mut it = std::env::args().skip(1).peekable();
-    match it.peek().map(String::as_str) {
-        Some("merge") => {
-            it.next();
-            args.merge_inputs = Some(Vec::new());
-        }
-        Some("list") => {
-            it.next();
-            args.list_long = true;
-        }
-        Some("serve") => {
-            it.next();
-            args.serve = true;
-        }
-        _ => {}
-    }
+    let mut flags = Vec::new();
     while let Some(arg) = it.next() {
+        if arg.starts_with('-') {
+            flags.push(arg.clone());
+        }
         match arg.as_str() {
             "-j" | "--json" => args.json_file = true,
             "-p" | "--markdown" => args.markdown = true,
@@ -157,7 +152,8 @@ fn parse_args() -> Result<Args, String> {
             "--policy" => args.policy = true,
             "--debug" => args.debug = true,
             "--timings" => args.timings = true,
-            "--list" => args.list = true,
+            "--list" if mode == "--gpu" => args.mode = "--list",
+            "--list" => {} // a mode of its own: rejected below
             "--gpu" => args.gpu = Some(it.next().ok_or("--gpu needs a value")?),
             "--only" => args.only = Some(it.next().ok_or("--only needs a value")?),
             "--scenario" => {
@@ -182,13 +178,31 @@ fn parse_args() -> Result<Args, String> {
                 print_help();
                 std::process::exit(0);
             }
-            other => match &mut args.merge_inputs {
-                Some(inputs) if !other.starts_with('-') => inputs.push(PathBuf::from(other)),
-                _ => return Err(format!("unknown argument: {other}")),
-            },
+            input if mode == "merge" && !input.starts_with('-') => {
+                args.merge_inputs.push(PathBuf::from(input))
+            }
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
-    Ok(args)
+    match flags.iter().find(|flag| !applies(args.mode, flag)) {
+        Some(flag) => Err(format!("{flag} does not apply to mt4g {}", args.mode)),
+        None => Ok(args),
+    }
+}
+
+/// Whether `mt4g <mode>` reads `flag`: each mode rejects a flag it would
+/// ignore rather than accept it silently.
+fn applies(mode: &str, flag: &str) -> bool {
+    let quiet = matches!(flag, "-q" | "--quiet");
+    let serve = matches!(flag, "--workers" | "--queue-cap" | "--cache-cap");
+    let files = matches!(flag, "-j" | "--json" | "-p" | "--markdown" | "-c" | "--csv");
+    match mode {
+        "merge" => quiet || files || matches!(flag, "-o" | "--out"),
+        "serve" => quiet || serve,
+        "list" => false,
+        "--list" => flag == "--list",
+        _ => !serve,
+    }
 }
 
 fn parse_count(
@@ -264,27 +278,14 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if args.list_long {
-        print_registry();
-        return;
-    }
-    if args.list {
-        print_stdout(&Registry::global().names().collect::<Vec<_>>().join("\n"));
-        return;
-    }
-    if args.merge_inputs.is_some() {
-        if args.scenario != Scenario::BareMetal {
-            // The scenario is baked into each partial's plan fingerprint;
-            // a merge cannot re-scope it after the fact.
-            eprintln!("error: --scenario applies to discovery runs, not to `mt4g merge`");
-            std::process::exit(2);
+    match args.mode {
+        "list" => return print_registry(),
+        "--list" => {
+            return print_stdout(&Registry::global().names().collect::<Vec<_>>().join("\n"))
         }
-        run_merge_mode(&args);
-        return;
-    }
-    if args.serve {
-        run_serve_mode(&args);
-        return;
+        "merge" => return run_merge_mode(&args),
+        "serve" => return run_serve_mode(&args),
+        _ => {}
     }
     let Some(gpu_name) = args.gpu.as_deref() else {
         print_help();
@@ -418,13 +419,9 @@ fn print_diagnostics(args: &Args, units: &[UnitResult]) {
 /// `mt4g merge`: read a complete set of partial reports and emit the full
 /// report, byte-identical to an unsharded run of the same configuration.
 fn run_merge_mode(args: &Args) {
-    let inputs = args.merge_inputs.as_deref().unwrap_or_default();
+    let inputs = &args.merge_inputs;
     if inputs.is_empty() {
         eprintln!("error: mt4g merge needs at least one partial-report file");
-        std::process::exit(2);
-    }
-    if args.graphs {
-        eprintln!("error: -g needs a live discovery run, not merged partials");
         std::process::exit(2);
     }
     let mut partials = Vec::with_capacity(inputs.len());

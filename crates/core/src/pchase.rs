@@ -12,6 +12,11 @@
 //! fences on AMD — Listings 1/2) via [`mt4g_sim::isa::KernelBuilder`] and
 //! calibrates away the constant clock/store overhead so reported latencies
 //! are comparable across vendors.
+//!
+//! Every chase starts from a fresh device (buffers freed, caches flushed)
+//! and comes from one of two functions: [`run_pchase_with_overhead`] runs
+//! single chases, and [`prime_probe`] the prime/probe sequences of the
+//! amount, sharing and contention benchmarks.
 
 use mt4g_sim::device::{LoadFlags, MemorySpace, Vendor};
 use mt4g_sim::gpu::{AllocError, Gpu, PchaseBatch};
@@ -113,7 +118,8 @@ pub fn calibrate_overhead(gpu: &mut Gpu) -> f64 {
 
 /// Runs one p-chase benchmark and returns overhead-corrected latencies.
 ///
-/// Allocates the array in the target space (so e.g. constant arrays are
+/// Starts from a fresh device (every buffer freed, every cache flushed),
+/// allocates the array in the target space (so e.g. constant arrays are
 /// subject to the 64 KiB limit), makes it a chase ring
 /// ([`Gpu::init_pchase`] records the ring as a value, in O(1)), runs the
 /// vendor-specific chase and subtracts the calibrated overhead.
@@ -129,132 +135,129 @@ pub fn run_pchase_with_overhead(
     cfg: &PchaseConfig,
     overhead: f64,
 ) -> Result<PchaseRun, AllocError> {
-    assert!(cfg.stride_bytes >= 4 && cfg.stride_bytes.is_multiple_of(4));
-    let buf = gpu.alloc(cfg.space, cfg.array_bytes)?;
-    let elements = gpu.init_pchase(buf, cfg.array_bytes, cfg.stride_bytes);
+    let actor = Actor {
+        sm: cfg.sm,
+        core: cfg.core,
+        ..Actor::new(cfg.space, cfg.flags, cfg.array_bytes, cfg.stride_bytes)
+    };
+    gpu.free_all();
+    gpu.flush_caches();
+    let (base, elements) = actor.ring(gpu)?;
     // The chase is a ring, so a warmed run can record a full N latencies
     // even for arrays shorter than N elements — keeping every row of a
     // size scan the same length, which the Eq. (2) reduction needs to be
     // comparable across sizes. Cold (no-warm-up) runs must not wrap: the
     // second pass would observe its own fills.
-    let timed_steps = if cfg.warmup {
-        (cfg.record_n as u64).max(1)
+    let (warm_steps, timed_steps) = if cfg.warmup {
+        (elements, (cfg.record_n as u64).max(1))
     } else {
-        (cfg.record_n as u64).min(elements).max(1)
+        (0, (cfg.record_n as u64).min(elements).max(1))
     };
-    // The batched executor is bit-identical to interpreting
-    // `KernelBuilder::pchase_kernel` (pinned by tests in `mt4g_sim::gpu`)
-    // but skips the per-instruction dispatch, and a warmed chase from the
-    // flushed hierarchy every benchmark probe starts from has its
-    // warm-up lap charged in closed form on exact-LRU routes.
-    let run = gpu.pchase_batch(
-        cfg.sm,
-        cfg.core,
-        &PchaseBatch {
-            base: gpu.buffer_base(buf),
-            elem_bytes: cfg.stride_bytes,
-            warm_steps: if cfg.warmup { elements } else { 0 },
-            timed_steps,
-            space: cfg.space,
-            flags: cfg.flags,
-        },
-        cfg.record_n,
-    );
-    let latencies = run
-        .records
-        .iter()
-        .map(|&r| (r as f64 - overhead).max(1.0))
-        .collect();
+    let latencies = actor.chase(gpu, base, warm_steps, timed_steps, cfg.record_n, overhead);
     Ok(PchaseRun {
         latencies,
         elements,
     })
 }
 
-/// A handle to a prepared chase buffer for multi-actor benchmarks (amount /
-/// physical sharing), where warm-up and observation passes are issued by
-/// different cores, CUs or memory spaces.
+/// One party of a prime/probe experiment: the ring it chases (space,
+/// flags, size and stride) and the SM/CU and core it chases from.
 #[derive(Debug, Clone, Copy)]
-pub struct ChaseBuffer {
-    /// Device base address.
-    pub base: u64,
-    /// Element count.
-    pub elements: u64,
-    /// Element stride in bytes.
+pub struct Actor {
+    /// Logical memory space the loads target.
+    pub space: MemorySpace,
+    /// Cache-policy flags (`.ca`, `.cg`, volatile).
+    pub flags: LoadFlags,
+    /// Array size in bytes.
+    pub array_bytes: u64,
+    /// Stride between consecutive chase elements, in bytes (≥ 4).
     pub stride_bytes: u64,
+    /// SM/CU to run on.
+    pub sm: usize,
+    /// Core within the SM/CU.
+    pub core: usize,
 }
 
-/// Allocates and initialises a chase buffer in `space`.
-pub fn prepare_chase(
-    gpu: &mut Gpu,
-    space: MemorySpace,
-    array_bytes: u64,
-    stride_bytes: u64,
-) -> Result<ChaseBuffer, AllocError> {
-    let buf = gpu.alloc(space, array_bytes)?;
-    let elements = gpu.init_pchase(buf, array_bytes, stride_bytes);
-    Ok(ChaseBuffer {
-        base: gpu.buffer_base(buf),
-        elements,
-        stride_bytes,
-    })
-}
-
-/// Untimed warm-up pass over a prepared buffer, issued from (`sm`, `core`).
-pub fn warm(
-    gpu: &mut Gpu,
-    buf: ChaseBuffer,
-    space: MemorySpace,
-    flags: LoadFlags,
-    sm: usize,
-    core: usize,
-) {
-    gpu.pchase_batch(
-        sm,
-        core,
-        &PchaseBatch {
-            base: buf.base,
-            elem_bytes: buf.stride_bytes,
-            warm_steps: buf.elements,
-            timed_steps: 0,
+impl Actor {
+    /// An actor chasing `array_bytes` at `stride` from SM 0, core 0.
+    pub fn new(space: MemorySpace, flags: LoadFlags, array_bytes: u64, stride: u64) -> Self {
+        Actor {
             space,
             flags,
-        },
-        0,
-    );
+            array_bytes,
+            stride_bytes: stride,
+            sm: 0,
+            core: 0,
+        }
+    }
+
+    /// Allocates the actor's array as a chase ring ([`Gpu::init_pchase`]
+    /// records it as a value, in O(1)): its base address and element count.
+    fn ring(&self, gpu: &mut Gpu) -> Result<(u64, u64), AllocError> {
+        let buf = gpu.alloc(self.space, self.array_bytes)?;
+        let elements = gpu.init_pchase(buf, self.array_bytes, self.stride_bytes);
+        Ok((gpu.buffer_base(buf), elements))
+    }
+
+    /// One chase kernel over the ring at `base`: `warm_steps` untimed
+    /// loads, then `timed_steps` timed ones from element 0. Returns the
+    /// first `record_n` latencies less `overhead`. The batched executor is
+    /// bit-identical to interpreting `KernelBuilder::pchase_kernel`
+    /// (pinned by tests in `mt4g_sim::gpu`) without its per-instruction
+    /// dispatch.
+    fn chase(
+        &self,
+        gpu: &mut Gpu,
+        base: u64,
+        warm_steps: u64,
+        timed_steps: u64,
+        record_n: usize,
+        overhead: f64,
+    ) -> Vec<f64> {
+        let batch = PchaseBatch {
+            base,
+            elem_bytes: self.stride_bytes,
+            warm_steps,
+            timed_steps,
+            space: self.space,
+            flags: self.flags,
+        };
+        let run = gpu.pchase_batch(self.sm, self.core, &batch, record_n);
+        run.records
+            .iter()
+            .map(|&r| (r as f64 - overhead).max(1.0))
+            .collect()
+    }
 }
 
-/// Timed observation pass over a prepared buffer (no warm-up), issued from
-/// (`sm`, `core`). Returns overhead-corrected latencies.
-#[allow(clippy::too_many_arguments)]
-pub fn observe(
+/// The eviction experiment of the amount, sharing and contention
+/// benchmarks (paper Sec. IV-F to IV-H), from a fresh device: `a` warms
+/// its ring, `b` (if given) warms another, then `a` chases its ring again
+/// for `min(record_n, a's elements)` timed steps. Returns those
+/// overhead-corrected latencies: hits mean `b` left `a`'s lines alone,
+/// misses that it evicted them.
+///
+/// This is the one producer of observation passes, so the lap log behind
+/// [`Gpu::pchase_batch`] sees a single prime/probe shape: laps over
+/// disjoint rings from a flush, then one pass over the first ring from
+/// its own SM and route.
+pub fn prime_probe(
     gpu: &mut Gpu,
-    buf: ChaseBuffer,
-    space: MemorySpace,
-    flags: LoadFlags,
-    sm: usize,
-    core: usize,
+    a: &Actor,
+    b: Option<&Actor>,
     record_n: usize,
     overhead: f64,
-) -> Vec<f64> {
-    let steps = (record_n as u64).min(buf.elements).max(1);
-    let run = gpu.pchase_batch(
-        sm,
-        core,
-        &PchaseBatch {
-            base: buf.base,
-            elem_bytes: buf.stride_bytes,
-            warm_steps: 0,
-            timed_steps: steps,
-            space,
-            flags,
-        },
-        record_n,
-    );
-    run.records
-        .iter()
-        .map(|&r| (r as f64 - overhead).max(1.0))
-        .collect()
+) -> Result<Vec<f64>, AllocError> {
+    gpu.free_all();
+    gpu.flush_caches();
+    let (base_a, elements_a) = a.ring(gpu)?;
+    let ring_b = b.map(|b| b.ring(gpu)).transpose()?;
+    a.chase(gpu, base_a, elements_a, 0, 0, overhead);
+    if let (Some(b), Some((base_b, elements_b))) = (b, ring_b) {
+        b.chase(gpu, base_b, elements_b, 0, 0, overhead);
+    }
+    let steps = (record_n as u64).min(elements_a).max(1);
+    Ok(a.chase(gpu, base_a, 0, steps, record_n, overhead))
 }
 
 #[cfg(test)]
@@ -344,12 +347,52 @@ mod tests {
                 l1.fetch_granularity as u64,
             )
         };
-        gpu.flush_caches();
         let run = run_pchase(&mut gpu, &cfg).unwrap();
         // Stride == fetch granularity on a cold cache: every load misses.
         assert!(run
             .latencies
             .iter()
             .all(|&lat| lat > l1.load_latency as f64 * 1.5));
+    }
+
+    /// A noiseless H100-80 and its A: an L1-capacity global ring at the
+    /// L1's fetch granularity, chased from SM 0, core 0.
+    fn h100_l1_actor() -> (Gpu, Actor) {
+        let mut gpu = presets::h100_80();
+        gpu.set_noise(NoiseModel::NONE);
+        let l1 = *gpu.config.cache(CacheKind::L1).unwrap();
+        let stride = l1.fetch_granularity as u64;
+        let a = Actor::new(MemorySpace::Global, LoadFlags::CACHE_ALL, l1.size, stride);
+        (gpu, a)
+    }
+
+    /// B on another core of A's SM shares A's L1 instance and evicts A's
+    /// ring, so A's second chase reads the L2; B on another SM, or no B,
+    /// leaves A in its L1. Each sequence runs through the lap log whole.
+    #[test]
+    fn prime_probe_evicts_only_through_a_shared_l1() {
+        let (mut gpu, a) = h100_l1_actor();
+        let l1 = gpu.config.cache(CacheKind::L1).unwrap().load_latency as f64;
+        let l2 = gpu.config.cache(CacheKind::L2).unwrap().load_latency as f64;
+        assert_eq!((l1, l2), (38.0, 220.0));
+        let overhead = calibrate_overhead(&mut gpu);
+        let cases = [
+            (Some(Actor { core: 1, ..a }), l2),
+            (Some(Actor { sm: 1, ..a }), l1),
+            (None, l1),
+        ];
+        for (b, expected) in cases {
+            let lats = prime_probe(&mut gpu, &a, b.as_ref(), 256, overhead).unwrap();
+            assert_eq!(lats.len(), 256, "B {b:?}");
+            assert!(lats.iter().all(|&lat| lat == expected), "B {b:?}: {lats:?}");
+            assert_eq!(gpu.walked_loads(), 0, "B {b:?} walked loads");
+        }
+    }
+
+    #[test]
+    fn prime_probe_respects_the_constant_alloc_limit() {
+        let (mut gpu, _) = h100_l1_actor();
+        let a = Actor::new(MemorySpace::Constant, LoadFlags::CACHE_ALL, 128 * 1024, 64);
+        assert!(prime_probe(&mut gpu, &a, None, 256, 0.0).is_err());
     }
 }

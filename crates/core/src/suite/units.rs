@@ -559,9 +559,9 @@ impl UnitRun<'_> {
     /// degrade to honest no-results (paper Sec. V: "no result, not a
     /// wrong result").
     fn amd_tables(&mut self, kind: CacheKind, amount: Option<u32>) {
-        let locked = self.gpu.config.quirks.cache_info_apis_unavailable;
-        let size = api::hsa_cache_sizes(&self.gpu)
-            .and_then(|t| t.into_iter().find(|(k, _)| *k == kind).map(|(_, v)| v));
+        let sizes = api::hsa_cache_sizes(&self.gpu);
+        let locked = sizes.is_none();
+        let size = sizes.and_then(|t| t.into_iter().find(|(k, _)| *k == kind).map(|(_, v)| v));
         let line = api::kfd_cache_line_sizes(&self.gpu)
             .and_then(|t| t.into_iter().find(|(k, _)| *k == kind).map(|(_, v)| v));
         let amount = amount.map(|count| AmountReport {

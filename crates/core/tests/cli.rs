@@ -1,6 +1,7 @@
 //! Smoke tests for the `mt4g` CLI binary.
 
-use std::process::Command;
+use std::io::Write;
+use std::process::{Command, Stdio};
 
 fn mt4g() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mt4g"))
@@ -466,5 +467,66 @@ fn json_flag_writes_named_file() {
     let json_path = dir.join("T1000.json");
     let contents = std::fs::read_to_string(&json_path).expect("file written");
     assert!(mt4g_core::report::from_json(&contents).is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each mode rejects the flags it would ignore: `merge` has no unit
+/// records to print `--debug` or `--timings` from, and `serve` prints
+/// neither, so both exit 2 before any work. The modes' own flags still
+/// run: a one-shard merge reproduces the unsharded report, and `serve -q`
+/// answers a shutdown.
+#[test]
+fn modes_reject_the_flags_they_ignore() {
+    let dir = std::env::temp_dir().join(format!("mt4g-cli-modes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cell = ["--gpu", "T1000", "--fast", "-q", "--only", "cl1"];
+    let partial = mt4g()
+        .args(cell)
+        .args(["--shard", "1/1"])
+        .output()
+        .expect("runs");
+    assert!(partial.status.success());
+    let path = dir.join("T1000.partial.json");
+    std::fs::write(&path, &partial.stdout).unwrap();
+    let path = path.to_str().unwrap();
+
+    for args in [
+        &["merge", path, "--debug"][..],
+        &["merge", path, "--timings"],
+        &["serve", "--debug"],
+    ] {
+        let out = mt4g()
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("does not apply to mt4g"),
+            "{args:?}: {stderr}"
+        );
+    }
+
+    let merged = mt4g().args(["merge", path, "-q"]).output().expect("runs");
+    assert!(merged.status.success());
+    let unsharded = mt4g().args(cell).output().expect("runs");
+    assert_eq!(merged.stdout, unsharded.stdout);
+
+    let mut serve = mt4g()
+        .args(["serve", "-q"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawns");
+    let mut stdin = serve.stdin.take().unwrap();
+    stdin
+        .write_all(b"{\"id\":1,\"op\":\"shutdown\"}\n")
+        .unwrap();
+    drop(stdin);
+    let served = serve.wait_with_output().expect("exits");
+    assert!(served.status.success());
+    assert!(String::from_utf8_lossy(&served.stdout).contains("\"ok\":true"));
     let _ = std::fs::remove_dir_all(&dir);
 }

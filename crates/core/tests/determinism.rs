@@ -271,7 +271,9 @@ fn merge_rejects_scenario_flag() {
         .output()
         .expect("runs");
     assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("not to `mt4g merge`"));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--scenario does not apply to mt4g merge")
+    );
 }
 
 /// Bad `--shard` specs fail fast with exit code 2.
